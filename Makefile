@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: all build test race race-hot cover bench bench-json benchsmoke faultsmoke durasmoke bdrsmoke optsmoke servesmoke proxysmoke docscheck check experiments fmt vet clean
+.PHONY: all build test race race-hot cover bench bench-json benchsmoke perfsmoke faultsmoke durasmoke bdrsmoke optsmoke servesmoke proxysmoke docscheck check experiments fmt vet clean
 
 all: build test
 
@@ -45,6 +45,13 @@ benchsmoke:
 	go run ./cmd/rrbench -compare /tmp/BENCH_smoke.json /tmp/BENCH_smoke.json
 	rm -f /tmp/BENCH_smoke.json
 
+# The end-to-end benchmark (perfbench/, its own module) builds against
+# internal/serve, internal/proxy and internal/sched, but `go test ./...`
+# at the root never compiles it: vet and test it here so an API change
+# that breaks the benchmark fails the build.
+perfsmoke:
+	cd perfbench && go vet ./... && go test -count=1 ./...
+
 # The crash-fault-injection harness for the checkpoint/restore subsystem
 # (docs/CHECKPOINT.md): kill a stream at every round, restore it, finish
 # the trace, require a bit-identical Result — for every policy — plus
@@ -56,12 +63,12 @@ faultsmoke:
 # The group-commit durability smoke (docs/CHECKPOINT.md "Group-commit
 # log"): the whole ckptlog package fresh — segment framing, recovery
 # scans over truncated/corrupted tails, rotation and compaction — plus
-# the serve-layer log-mode contracts: tombstones shadowing closed and
-# released tenants, compacting restarts, delta-chain recovery and the
-# adaptive pacer. Fresh runs, never cached.
+# the serve-layer log contracts: tombstones shadowing closed and
+# released tenants, durable drain acknowledgements, compacting restarts,
+# delta-chain recovery and the adaptive pacer. Fresh runs, never cached.
 durasmoke:
 	go test -count=1 ./internal/ckptlog/
-	go test -run 'TestCloseTenantLogTombstone|TestReleaseLogTombstone|TestServeLog|TestServeCrashRestartLogSegments|TestServeAdaptivePacing' -count=1 ./internal/serve/
+	go test -run 'TestCloseTenantLogTombstone|TestReleaseLogTombstone|TestDrainAckIsDurable|TestServeLog|TestServeCrashRestartLogSegments|TestServeAdaptivePacing' -count=1 ./internal/serve/
 
 # The admission-control smoke (docs/SCHEDULING.md "Admission (layer
 # 0)"): the whole internal/bdr package fresh — SBF feasibility

@@ -11,9 +11,9 @@
 //	rrload -addr 127.0.0.1:7145                  # 64 tenants, router workload
 //	rrload -tenants 128 -rounds 2048 -rate 500   # paced at 500 rounds/s/tenant
 //	rrload -policy edf -workload bursty -verify  # verify bit-identical results
-//	rrload -pipeline 64 -batch 16                # pipelined + batched submits (protocol v2)
-//	rrload -res-rate 0.01 -res-delay 32          # BDR reservation per tenant (protocol v6,
-//	                                             # needs rrserved -bdr; rejected reservations
+//	rrload -pipeline 64 -batch 16                # pipelined + batched submits
+//	rrload -res-rate 0.01 -res-delay 32          # BDR reservation per tenant (needs
+//	                                             # rrserved -bdr; rejected reservations
 //	                                             # fall back to best-effort and are counted)
 //	rrload -json                                 # machine-readable report
 package main
@@ -101,9 +101,6 @@ func main() {
 		if rep.WorstDelayTenant != "" {
 			fmt.Printf("worst delay factor %.3f (%s)  service share min %.4f  max %.4f\n",
 				rep.WorstDelayFactor, rep.WorstDelayTenant, rep.ServiceShareMin, rep.ServiceShareMax)
-		} else if rep.SchedReadoutDegraded {
-			fmt.Printf("sched readout degraded: pre-v3 server, no delay-factor/share stats; worst backlog %d (%s)\n",
-				rep.WorstBacklog, rep.WorstBacklogTenant)
 		}
 	}
 	if *verify {

@@ -11,7 +11,7 @@ type Demand struct {
 	Res BDR
 	// Backlog is the tenant's queued rounds at the start of the pass.
 	Backlog int
-	// Weight is the tenant's static protocol-v3 weight (≥ 1 effective;
+	// Weight is the tenant's static weight (≥ 1 effective;
 	// 0 is treated as 1, matching the allocator's convention).
 	Weight int
 }

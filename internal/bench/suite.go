@@ -43,14 +43,12 @@ func DefaultSuite() []Spec {
 		serveSubmitSpec("serve/proxy/submit/1tenant", 1, proxyServer),
 		serveSubmitSpec("serve/proxy/submit/64tenants", 64, proxyServer),
 		servePipelinedSpec("serve/proxy/submit/pipelined/1tenant", 1, 64, 32, proxyServer),
-		serveStatsSpec("serve/stats/64tenants", 64, false),
-		serveStatsSpec("serve/stats-ex/64tenants", 64, true),
+		serveStatsSpec("serve/stats-ex/64tenants", 64),
 		serveSkewedSpec("serve/skewed/wdrr/64tenants", "wdrr"),
 		serveSkewedSpec("serve/skewed/fifo/64tenants", "fifo"),
 		serveBDRSkewedSpec("serve/bdr/skewed/64tenants"),
-		serveCkptSpec("serve/ckpt/files/64tenants", "files", false),
-		serveCkptSpec("serve/ckpt/log/64tenants", "log", false),
-		serveCkptSpec("serve/ckpt/log/adaptive/64tenants", "log", true),
+		serveCkptSpec("serve/ckpt/log/64tenants", false),
+		serveCkptSpec("serve/ckpt/log/adaptive/64tenants", true),
 	}
 }
 
@@ -284,7 +282,7 @@ func serveSubmitSpec(name string, tenants int, boot func(string, int) (*serve.Cl
 	}}
 }
 
-// servePipelinedSpec measures the protocol-v2 wire path: each op stages
+// servePipelinedSpec measures the pipelined wire path: each op stages
 // batch consecutive rounds for one tenant (rotating across tenants)
 // into a pipelined window of tagged frames, so the round trip is
 // amortized over the window and the framing over the batch. The ratio
@@ -363,12 +361,10 @@ func servePipelinedSpec(name string, tenants, window, batch int, boot func(strin
 }
 
 // serveStatsSpec measures the stats command aggregating every tenant's
-// row — the monitoring-path cost at fleet width. extended selects the
-// protocol-v3 stats-ex command (the scheduling readout Client.Stats
-// issues); the plain variant keeps measuring the legacy command
-// unchanged since BENCH_pr6.json, so the two stay comparable across
-// recordings and the delta between them is the cost of the extension.
-func serveStatsSpec(name string, tenants int, extended bool) Spec {
+// row — the monitoring-path cost at fleet width. The spec keeps its
+// stats-ex name from the recordings made while a second, legacy stats
+// command existed, so it stays comparable across BENCH files.
+func serveStatsSpec(name string, tenants int) Spec {
 	return Spec{Name: name, Make: func() (func() error, Rates) {
 		cl, ids := serveServer(name, tenants)
 		req := sched.Request{{Color: 2, Count: 1}}
@@ -377,12 +373,8 @@ func serveStatsSpec(name string, tenants int, extended bool) Spec {
 				panic(fmt.Sprintf("bench: %s: seeding %s: %v", name, ids[i], err))
 			}
 		}
-		stats := cl.StatsCompat
-		if extended {
-			stats = cl.Stats
-		}
 		op := func() error {
-			rows, err := stats("")
+			rows, err := cl.Stats("")
 			if err == nil && len(rows) != len(ids) {
 				err = fmt.Errorf("stats returned %d rows, want %d", len(rows), len(ids))
 			}
@@ -394,16 +386,14 @@ func serveStatsSpec(name string, tenants int, extended bool) Spec {
 
 // serveCkptSpec measures durable submit throughput: 64 tenants behind
 // one connection, every applied round checkpoint-due (CheckpointEvery
-// 1), under the named durability backend. The tiny queue cap couples
-// the submit loop to the shard workers via overload backpressure, so
-// the measured rate is applied-and-checkpointed throughput — in files
-// mode every round pays a per-tenant file write and fsync, in log mode
-// an append into the group-commit log whose fsyncs the background
-// committer batches. The log/files ratio is the group commit's win;
-// docs/PERFORMANCE.md quotes it. Extra records the backend's DuraStats
-// so a run shows the fsync collapse (and, under -ckpt-adaptive, how
-// many appends the pacer chose) rather than just the speedup.
-func serveCkptSpec(name, mode string, adaptive bool) Spec {
+// 1), with adaptive pacing on or off. The tiny queue cap couples the
+// submit loop to the shard workers via overload backpressure, so the
+// measured rate is applied-and-checkpointed throughput: every round
+// pays an append into the group-commit log whose fsyncs the background
+// committer batches. Extra records the log's DuraStats so a run shows
+// the fsync count (and, under -ckpt-adaptive, how many appends the
+// pacer chose) rather than just the rate.
+func serveCkptSpec(name string, adaptive bool) Spec {
 	const tenants = 64
 	type readout struct{ cl *serve.Client }
 	ro := &readout{}
@@ -418,7 +408,6 @@ func serveCkptSpec(name, mode string, adaptive bool) Spec {
 				Addr:            "127.0.0.1:0",
 				CheckpointDir:   dir,
 				CheckpointEvery: 1,
-				CkptMode:        mode,
 				CkptAdaptive:    adaptive,
 				DefaultQueueCap: 4,
 			})

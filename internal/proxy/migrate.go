@@ -8,7 +8,7 @@ import (
 )
 
 // Migrate moves one live tenant to the target backend: release on the
-// source (flush its queue, snapshot, tombstone — protocol v4
+// source (flush its queue, snapshot, tombstone —
 // msgRelease), restore on the target (msgRestore), then flip the
 // route. Submits racing the migration bounce off the source's
 // tombstone with a retryable draining error and, once re-routed, off

@@ -9,7 +9,7 @@
 // Two operations make the tier more than a load balancer:
 //
 //   - Live migration (Migrate): release a tenant's state from its
-//     current backend (protocol v4 msgRelease), restore it on another
+//     current backend (msgRelease), restore it on another
 //     (msgRestore), and flip the route. In-flight submits resume
 //     exactly-once off the tenant's sequence numbers: a client racing
 //     the flip sees a retryable draining error or a BadSeq rewind, both
@@ -518,9 +518,9 @@ func (p *Proxy) appendPing(enc *snap.Encoder, info serve.PeekInfo) {
 }
 
 // appendFleetStats answers an all-tenant stats request by fanning out
-// to every live backend, merging the rows sorted by tenant ID, and —
-// for the extended shape — recomputing each ServiceShare against the
-// fleet-wide served-rounds total (each backend only knows its own).
+// to every live backend, merging the rows sorted by tenant ID, and
+// recomputing each ServiceShare against the fleet-wide served-rounds
+// total (each backend only knows its own).
 // Standby rows are included only for tenants the routing table actually
 // sends there (their primary died); otherwise the standby's teed
 // replicas would shadow the primaries' live rows. Unreachable backends
@@ -531,7 +531,7 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 	backends := p.liveBackends()
 	anyDead := len(backends) < len(p.cfg.Backends)
 	for _, addr := range backends {
-		rs, err := p.statsFrom(addr, info.Extended)
+		rs, err := p.statsFrom(addr)
 		if err != nil {
 			p.probeBackend(addr)
 			continue
@@ -539,7 +539,7 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 		rows = append(rows, rs...)
 	}
 	if p.cfg.Standby != "" && anyDead {
-		if rs, err := p.statsFrom(p.cfg.Standby, info.Extended); err == nil {
+		if rs, err := p.statsFrom(p.cfg.Standby); err == nil {
 			for _, r := range rs {
 				if p.route(r.ID) == p.cfg.Standby {
 					rows = append(rows, r)
@@ -548,23 +548,21 @@ func (p *Proxy) appendFleetStats(enc *snap.Encoder, info serve.PeekInfo) {
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].ID < rows[j].ID })
-	if info.Extended {
-		var total float64
-		for i := range rows {
-			total += float64(rows[i].ServedRounds)
-		}
-		for i := range rows {
-			rows[i].ServiceShare = 0
-			if total > 0 {
-				rows[i].ServiceShare = float64(rows[i].ServedRounds) / total
-			}
+	var total float64
+	for i := range rows {
+		total += float64(rows[i].ServedRounds)
+	}
+	for i := range rows {
+		rows[i].ServiceShare = 0
+		if total > 0 {
+			rows[i].ServiceShare = float64(rows[i].ServedRounds) / total
 		}
 	}
 	serve.AppendStatsResponse(enc, info, rows)
 }
 
-// appendDuraStats answers a durability-stats request for the fleet
-// (protocol v6): the counters summed across every live backend, with a
+// appendDuraStats answers a durability-stats request for the fleet:
+// the counters summed across every live backend, with a
 // per-backend breakdown labelled by address in Backends. Mode is the
 // backends' common mode, or "mixed" when they disagree. Unreachable
 // backends are skipped best-effort, like the stats fan-out.
@@ -601,16 +599,13 @@ func (p *Proxy) appendDuraStats(enc *snap.Encoder, info serve.PeekInfo) {
 	serve.AppendDuraStatsResponse(enc, info, sum)
 }
 
-func (p *Proxy) statsFrom(addr string, extended bool) ([]serve.TenantStats, error) {
+func (p *Proxy) statsFrom(addr string) ([]serve.TenantStats, error) {
 	c, err := serve.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
-	if extended {
-		return c.Stats("")
-	}
-	return c.StatsCompat("")
+	return c.Stats("")
 }
 
 // liveBackends snapshots the backends not marked dead.

@@ -190,14 +190,6 @@ func TestProxyStatsFanout(t *testing.T) {
 		t.Fatalf("fleet-wide service shares sum to %v, want 1", shares)
 	}
 
-	compat, err := c.StatsCompat("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(compat) != 4 {
-		t.Fatalf("fleet compat stats returned %d rows, want 4", len(compat))
-	}
-
 	one, err := c.Stats(names[0])
 	if err != nil {
 		t.Fatal(err)

@@ -185,8 +185,7 @@ type passState struct {
 // exactly the cup game's emptier, with the budget as the processor
 // count. Rounds admitted mid-pass are
 // not chased — they re-poke the shard and the next pass serves them —
-// so a pass always terminates. Checkpoint blobs captured under the
-// tenant lock are written here, outside it.
+// so a pass always terminates.
 func (s *Server) servePass(sh *shard, ps *passState, budget int) {
 	ps.scratch = sh.snapshot(ps.scratch[:0])
 	ps.live = ps.live[:0]
@@ -246,12 +245,7 @@ func (s *Server) servePass(sh *shard, ps *passState, budget int) {
 			q = b
 		}
 		t := ps.live[i]
-		applied, blob, round := t.applyQueued(q, s.cfg.CheckpointEvery)
-		if blob != nil {
-			if err := t.writeCheckpoint(blob, round); err != nil {
-				s.logf("%v", err)
-			}
-		}
+		applied := t.applyQueued(q, s.cfg.CheckpointEvery)
 		if !unlimited {
 			budget -= applied
 		}

@@ -26,9 +26,9 @@ type TenantConfig struct {
 	// tenants are backlogged, worker capacity is split in proportion to
 	// their weights (see docs/SCHEDULING.md). 0 accepts the default of 1.
 	Weight int
-	// ResRate and ResDelay declare a BDR reservation (protocol v6): a
-	// guaranteed fractional service rate in (0, 1] and the delay bound,
-	// in rounds, within which that rate must be supplied. Both zero (the
+	// ResRate and ResDelay declare a BDR reservation: a guaranteed
+	// fractional service rate in (0, 1] and the delay bound, in rounds,
+	// within which that rate must be supplied. Both zero (the
 	// default) opens a best-effort tenant. A reservation is subject to
 	// the server's supply-bound-function admission check; an infeasible
 	// one is rejected with *AdmissionError carrying the shard's residual
@@ -152,12 +152,7 @@ func (c *Client) Open(tenant string, tc TenantConfig) (nextSeq int, resumed bool
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.enc.Reset()
-	(&openMsg{
-		Version: ProtocolVersion, Tenant: tenant, Policy: tc.Policy,
-		N: tc.N, Speed: tc.Speed, Delta: tc.Delta,
-		QueueCap: tc.QueueCap, Delays: tc.Delays, Weight: tc.Weight,
-		ResRate: tc.ResRate, ResDelay: tc.ResDelay,
-	}).encode(c.enc)
+	(&openMsg{Version: ProtocolVersion, Tenant: tenant, TenantConfig: tc}).encode(c.enc)
 	d, err := c.roundtrip(msgOpen)
 	if err != nil {
 		return 0, false, err
@@ -225,34 +220,8 @@ func (c *Client) SubmitBatch(tenant string, seq int, ticks []sched.Request) (adm
 }
 
 // Stats fetches one tenant's stats row, or every tenant's (sorted by
-// ID) when tenant is "". It uses the protocol-v3 extended stats command,
-// so rows include the cross-tenant scheduling fields (Weight,
-// DelayFactor, ServiceShare, …); fetching stats from a pre-v3 server is
-// not supported — a v1/v2 *client* against this server keeps working
-// unchanged via the legacy msgStats command.
+// ID) when tenant is "".
 func (c *Client) Stats(tenant string) ([]TenantStats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enc.Reset()
-	(&tenantMsg{Type: msgStatsEx, Tenant: tenant}).encode(c.enc)
-	d, err := c.roundtrip(msgStatsEx)
-	if err != nil {
-		return nil, err
-	}
-	rows := decodeStatsRespEx(d)
-	if err := c.done(d); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// StatsCompat is Stats over the legacy pre-v3 stats command: the same
-// rows without the scheduling extensions (Weight, MinDelay,
-// ServedRounds, DelayFactor, MaxDelayFactor, ServiceShare all zero).
-// Use it against servers older than protocol v3, which do not answer
-// stats-ex; it is also the op the serve/stats benchmark measures, so
-// the legacy monitoring path stays pinned against regressions.
-func (c *Client) StatsCompat(tenant string) ([]TenantStats, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.enc.Reset()
@@ -261,7 +230,8 @@ func (c *Client) StatsCompat(tenant string) ([]TenantStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := decodeStatsResp(d)
+	var rows statsResp
+	rows.decode(d)
 	if err := c.done(d); err != nil {
 		return nil, err
 	}
@@ -327,21 +297,24 @@ func (c *Client) Snapshot(tenant string) ([]byte, error) {
 	return blob, nil
 }
 
-// ReleasedTenant is everything Release hands back — the tenant's
-// configuration as opened, the sequence number the next Submit must
-// carry wherever the tenant lands, and the state blob Restore accepts.
+// ReleasedTenant is everything Release hands back, and the release
+// response's wire shape: the tenant's configuration as opened
+// (reservation included, so Restore re-declares it on the migration
+// target), the sequence number the next Submit must carry wherever the
+// tenant lands (rounds applied — the released queue is always flushed
+// first), and the state blob Restore accepts.
 type ReleasedTenant struct {
 	Config  TenantConfig
 	NextSeq int
 	Blob    []byte
 }
 
-// Release is the source half of a live migration (protocol v4): the
-// server flushes the tenant's admission queue, snapshots it, deletes
-// its durable state, and replaces it with a tombstone that answers
-// every later command — including re-opens — with the retryable
-// ErrDraining until a Restore brings the tenant back. Feed the returned
-// state to Restore on the migration target.
+// Release is the source half of a live migration: the server flushes
+// the tenant's admission queue, snapshots it, deletes its durable
+// state, and replaces it with a tombstone that answers every later
+// command — including re-opens — with the retryable ErrDraining until a
+// Restore brings the tenant back. Feed the returned state to Restore on
+// the migration target.
 func (c *Client) Release(tenant string) (*ReleasedTenant, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -351,25 +324,17 @@ func (c *Client) Release(tenant string) (*ReleasedTenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	var r releaseResp
+	r := new(ReleasedTenant)
 	r.decode(d)
 	if err := c.done(d); err != nil {
 		return nil, err
 	}
-	return &ReleasedTenant{
-		Config: TenantConfig{
-			Policy: r.Policy, N: r.N, Speed: r.Speed, Delta: r.Delta,
-			Delays: r.Delays, QueueCap: r.QueueCap, Weight: r.Weight,
-			ResRate: r.ResRate, ResDelay: r.ResDelay,
-		},
-		NextSeq: r.NextSeq,
-		Blob:    r.Blob,
-	}, nil
+	return r, nil
 }
 
-// Restore installs a released tenant snapshot on the server (protocol
-// v4): the target half of a live migration. The declared configuration
-// must match the one embedded in the blob. nextSeq is the sequence
+// Restore installs a released tenant snapshot on the server: the
+// target half of a live migration. The declared configuration must
+// match the one embedded in the blob. nextSeq is the sequence
 // number the tenant's next Submit must carry on this server — it equals
 // the ReleasedTenant's NextSeq when the blob came from Release.
 // Restoring a tenant that is already open (and not a migration
@@ -378,12 +343,7 @@ func (c *Client) Restore(tenant string, tc TenantConfig, blob []byte) (nextSeq i
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.enc.Reset()
-	(&restoreMsg{
-		Version: ProtocolVersion, Tenant: tenant, Policy: tc.Policy,
-		N: tc.N, Speed: tc.Speed, Delta: tc.Delta,
-		QueueCap: tc.QueueCap, Delays: tc.Delays, Weight: tc.Weight,
-		Blob: blob, ResRate: tc.ResRate, ResDelay: tc.ResDelay,
-	}).encode(c.enc)
+	(&restoreMsg{Version: ProtocolVersion, Tenant: tenant, TenantConfig: tc, Blob: blob}).encode(c.enc)
 	d, err := c.roundtrip(msgRestore)
 	if err != nil {
 		return 0, err
@@ -415,10 +375,9 @@ func (c *Client) Ping() (draining bool, tenants int, err error) {
 	return draining, tenants, nil
 }
 
-// DuraStats reports the server's durability-backend counters (protocol
-// v5): mode ("log", "files", or "off"), append/byte/fsync totals, and
-// the group-commit log's delta, rotation, compaction and segment
-// counts. Since protocol v6 the proxy tier relays it too: a proxy
+// DuraStats reports the server's group-commit checkpoint log counters:
+// mode ("log", or "off" without a checkpoint directory), append, byte,
+// fsync, delta, rotation, compaction and segment counts. A proxy
 // answers with the counters summed across its live backends and a
 // per-backend breakdown in Backends, each row labelled with the
 // backend's address.

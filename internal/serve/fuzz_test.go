@@ -26,10 +26,8 @@ func fuzzServer(f *testing.F) *Server {
 	for i := 0; i < cfg.Shards; i++ {
 		s.shards = append(s.shards, &shard{wake: make(chan struct{}, 1)})
 	}
-	if _, er := s.open(&openMsg{
-		Version: ProtocolVersion, Tenant: "fuzz", Policy: "edf",
-		N: 4, Delta: 4, Delays: []int{2, 6},
-	}); er != nil {
+	if _, er := s.open(&openMsg{Version: ProtocolVersion, Tenant: "fuzz",
+		TenantConfig: TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}}}); er != nil {
 		f.Fatalf("opening fuzz tenant: %s", er.Msg)
 	}
 	return s
@@ -53,8 +51,8 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(frame.Bytes())
 	}
 	seed(func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}}).encode(e)
+		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz",
+			TenantConfig: TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}}}).encode(e)
 	})
 	seed(func(e *snap.Encoder) {
 		(&submitMsg{Tenant: "fuzz", Seq: 0,
@@ -67,17 +65,18 @@ func FuzzFrameDecode(f *testing.F) {
 	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgCloseTenant, Tenant: "nope"}).encode(e) })
 	seed(func(e *snap.Encoder) { e.Uint64(msgPing) })
 	seed(func(e *snap.Encoder) { (&errResp{Code: codeBadSeq, Expected: 3, Msg: "x"}).encode(e) })
-	// Protocol v2: tagged envelopes and batched submits.
+	// Tagged envelopes and batched submits.
 	seed(func(e *snap.Encoder) {
 		e.Uint64(msgTagged)
 		e.Uint64(7)
 		(&submitMsg{Tenant: "fuzz", Seq: 0,
 			Arrivals: sched.Request{{Color: 0, Count: 2}}}).encode(e)
 	})
-	// Protocol v4: the migration pair.
+	// The migration pair.
 	seed(func(e *snap.Encoder) {
-		(&restoreMsg{Version: ProtocolVersion, Tenant: "fuzz2", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}, Weight: 1, Blob: []byte{1, 2, 3}}).encode(e)
+		(&restoreMsg{Version: ProtocolVersion, Tenant: "fuzz2",
+			TenantConfig: TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}, Weight: 1},
+			Blob:         []byte{1, 2, 3}}).encode(e)
 	})
 	seed(func(e *snap.Encoder) { (&tenantMsg{Type: msgRelease, Tenant: "fuzz"}).encode(e) })
 	seed(func(e *snap.Encoder) {
@@ -103,18 +102,18 @@ func FuzzFrameDecode(f *testing.F) {
 		e.Uint64(3)
 		e.Uint64(msgPing)
 	})
-	// Protocol v6: a reserved open/restore (optional trailing BDR
-	// fields), the release whose response echoes them, and the
-	// durability-stats request the proxy now relays.
+	// A reserved open/restore and the durability-stats request the
+	// proxy relays.
 	seed(func(e *snap.Encoder) {
-		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz3", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}, Weight: 1,
-			ResRate: 0.25, ResDelay: 32}).encode(e)
+		(&openMsg{Version: ProtocolVersion, Tenant: "fuzz3",
+			TenantConfig: TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}, Weight: 1,
+				ResRate: 0.25, ResDelay: 32}}).encode(e)
 	})
 	seed(func(e *snap.Encoder) {
-		(&restoreMsg{Version: ProtocolVersion, Tenant: "fuzz4", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}, Weight: 1, Blob: []byte{1, 2, 3},
-			ResRate: 0.125, ResDelay: 16}).encode(e)
+		(&restoreMsg{Version: ProtocolVersion, Tenant: "fuzz4",
+			TenantConfig: TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}, Weight: 1,
+				ResRate: 0.125, ResDelay: 16},
+			Blob: []byte{1, 2, 3}}).encode(e)
 	})
 	seed(func(e *snap.Encoder) { e.Uint64(msgDuraStats) })
 	// A batch claiming far more rounds than it carries — the decoder must
@@ -179,7 +178,7 @@ func processBody(t *testing.T, s *Server, body []byte) {
 			s.sorted = nil
 			s.mu.Unlock()
 		}
-		s.open(&openMsg{Version: ProtocolVersion, Tenant: "fuzz", Policy: "edf",
-			N: 4, Delta: 4, Delays: []int{2, 6}})
+		s.open(&openMsg{Version: ProtocolVersion, Tenant: "fuzz",
+			TenantConfig: TenantConfig{Policy: "edf", N: 4, Delta: 4, Delays: []int{2, 6}}})
 	}
 }

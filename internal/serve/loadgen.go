@@ -41,7 +41,7 @@ type LoadConfig struct {
 	// so jobs are delayed, never lost.
 	Rate float64
 	// Pipeline keeps up to this many submit frames in flight per tenant
-	// connection using protocol-v2 tagged frames; 0 or 1 keeps the
+	// connection using tagged frames; 0 or 1 keeps the
 	// strict request/response path. Batch packs this many consecutive
 	// rounds into each frame (0 or 1 = one round per frame). Setting
 	// either above 1 selects the pipelined driver; exactly-once ingest
@@ -52,8 +52,8 @@ type LoadConfig struct {
 	// server's final Results to be bit-identical (LoadReport.Mismatches).
 	Verify bool
 	// ResRate and ResDelay declare a BDR reservation for every load
-	// tenant (protocol v6, rrserved -bdr): a guaranteed fractional
-	// service rate and the delay bound it must be supplied within. Both
+	// tenant (rrserved -bdr): a guaranteed fractional service rate and
+	// the delay bound it must be supplied within. Both
 	// zero (the default) runs best-effort. A tenant whose reservation is
 	// rejected at admission (*AdmissionError — the shard is full) falls
 	// back to opening best-effort and is counted in
@@ -150,14 +150,6 @@ type LoadReport struct {
 	WorstDelayTenant string  `json:"worst_delay_tenant,omitempty"`
 	ServiceShareMin  float64 `json:"service_share_min,omitempty"`
 	ServiceShareMax  float64 `json:"service_share_max,omitempty"`
-
-	// SchedReadoutDegraded marks a readout fetched over the legacy
-	// pre-v3 stats command because the server does not answer the
-	// extended one: the DF/share fields above are unavailable (zero) and
-	// the worst-backlog pair below stands in for them.
-	SchedReadoutDegraded bool   `json:"sched_readout_degraded,omitempty"`
-	WorstBacklog         int    `json:"worst_backlog,omitempty"`
-	WorstBacklogTenant   string `json:"worst_backlog_tenant,omitempty"`
 
 	// Mismatches lists tenants whose server Result differed from the
 	// local replay (only populated with Verify; empty = bit-identical).
@@ -266,31 +258,19 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	return rep, nil
 }
 
-// fillSchedReadout fetches the load tenants' extended stats rows and
-// fills the report's scheduling fields: the worst delay-factor
-// high-water mark and the service-share spread. A server too old for
-// msgStatsEx (pre-v3) answers the legacy stats command instead; the
-// readout then degrades to the worst MaxPending backlog with
-// SchedReadoutDegraded set, rather than staying silently empty.
-// Best-effort — a server that is gone leaves everything zero.
+// fillSchedReadout fetches the load tenants' stats rows and fills the
+// report's scheduling fields: the worst delay-factor high-water mark
+// and the service-share spread. Best-effort — a server that is gone
+// leaves everything zero.
 func (rep *LoadReport) fillSchedReadout(cfg *LoadConfig) {
 	c, err := Dial(cfg.Addr)
 	if err != nil {
 		return
 	}
-	defer func() { c.Close() }() // c is rebound on the compat fallback
+	defer c.Close()
 	rows, err := c.Stats("")
 	if err != nil {
-		// The failed extended request poisoned the client; a pre-v3
-		// server needs a fresh connection for the legacy command.
-		c.Close()
-		if c, err = Dial(cfg.Addr); err != nil {
-			return
-		}
-		if rows, err = c.StatsCompat(""); err != nil {
-			return
-		}
-		rep.SchedReadoutDegraded = true
+		return
 	}
 	want := make(map[string]bool, cfg.Tenants)
 	for i := 0; i < cfg.Tenants; i++ {
@@ -301,38 +281,16 @@ func (rep *LoadReport) fillSchedReadout(cfg *LoadConfig) {
 		if !want[r.ID] {
 			continue // a shared server may host unrelated tenants
 		}
-		if rep.SchedReadoutDegraded {
-			// Legacy rows carry no DF/share fields; fold the deepest
-			// backlog high-water instead.
-			if first || r.MaxPending > rep.WorstBacklog {
-				rep.WorstBacklog, rep.WorstBacklogTenant = r.MaxPending, r.ID
-			}
-			first = false
-			continue
+		if first {
+			rep.ServiceShareMin, rep.ServiceShareMax = r.ServiceShare, r.ServiceShare
 		}
 		if first || r.MaxDelayFactor > rep.WorstDelayFactor {
 			rep.WorstDelayFactor, rep.WorstDelayTenant = r.MaxDelayFactor, r.ID
 		}
-		rep.ServiceShareMin = min2(first, rep.ServiceShareMin, r.ServiceShare)
-		rep.ServiceShareMax = max2(first, rep.ServiceShareMax, r.ServiceShare)
+		rep.ServiceShareMin = min(rep.ServiceShareMin, r.ServiceShare)
+		rep.ServiceShareMax = max(rep.ServiceShareMax, r.ServiceShare)
 		first = false
 	}
-}
-
-// min2/max2 fold one value into a running extreme, seeding it on the
-// first sample.
-func min2(first bool, cur, v float64) float64 {
-	if first || v < cur {
-		return v
-	}
-	return cur
-}
-
-func max2(first bool, cur, v float64) float64 {
-	if first || v > cur {
-		return v
-	}
-	return cur
 }
 
 // loadDriver shares the run-wide counters across tenant goroutines.

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bufio"
 	"errors"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +11,7 @@ import (
 )
 
 // TestReleaseRestoreRoundTrip moves a live tenant between two servers
-// mid-trace — the protocol-v4 migration pair — and requires the final
+// mid-trace — the migration pair — and requires the final
 // result to be bit-identical to an unmigrated local replay. It also
 // pins restore durability: crashing the target right after the move
 // recovers the tenant at its restored round, not at zero.
@@ -234,11 +232,12 @@ func TestReleasedTombstone(t *testing.T) {
 	}
 }
 
-// TestWireRestoreReleaseCodecs round-trips the protocol-v4 codecs.
+// TestWireRestoreReleaseCodecs round-trips the migration codecs.
 func TestWireRestoreReleaseCodecs(t *testing.T) {
 	e := snap.NewEncoder()
-	rm := restoreMsg{Version: ProtocolVersion, Tenant: "a", Policy: "edf",
-		N: 4, Speed: 2, Delta: 3, QueueCap: 9, Delays: []int{2, 6}, Weight: 5, Blob: []byte{1, 2, 3}}
+	rm := restoreMsg{Version: ProtocolVersion, Tenant: "a",
+		TenantConfig: TenantConfig{Policy: "edf", N: 4, Speed: 2, Delta: 3, QueueCap: 9, Delays: []int{2, 6}, Weight: 5},
+		Blob:         []byte{1, 2, 3}}
 	rm.encode(e)
 	d := snap.NewDecoder(e.Bytes())
 	if typ := d.Uint64(); typ != msgRestore {
@@ -256,20 +255,20 @@ func TestWireRestoreReleaseCodecs(t *testing.T) {
 	}
 
 	e.Reset()
-	rr := releaseResp{Policy: "edf", N: 4, Speed: 1, Delta: 2, QueueCap: 8,
-		Delays: []int{3, 9}, Weight: 2, NextSeq: 41, Blob: []byte{9, 8}}
+	rr := ReleasedTenant{Config: TenantConfig{Policy: "edf", N: 4, Speed: 1, Delta: 2, QueueCap: 8,
+		Delays: []int{3, 9}, Weight: 2}, NextSeq: 41, Blob: []byte{9, 8}}
 	rr.encode(e)
 	d = snap.NewDecoder(e.Bytes())
 	if typ := d.Uint64(); typ != msgRelease {
 		t.Fatalf("type = %d, want msgRelease", typ)
 	}
-	var rgot releaseResp
+	var rgot ReleasedTenant
 	rgot.decode(d)
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if rgot.NextSeq != 41 || rgot.Policy != "edf" || string(rgot.Blob) != string(rr.Blob) {
-		t.Fatalf("releaseResp round trip: got %+v, want %+v", rgot, rr)
+	if rgot.NextSeq != 41 || rgot.Config.Policy != "edf" || string(rgot.Blob) != string(rr.Blob) {
+		t.Fatalf("release response round trip: got %+v, want %+v", rgot, rr)
 	}
 }
 
@@ -368,66 +367,4 @@ func TestStatsLoggerStopsOnShutdown(t *testing.T) {
 	// Starting a logger on a stopped server must be a no-op, not a
 	// WaitGroup reuse panic.
 	s.StartStatsLogger(time.Millisecond)
-}
-
-// TestSchedReadoutCompatFallback pins the rrload degraded readout: a
-// pre-v3 server answers the legacy stats command only, and the load
-// report must fall back to it (flagged degraded, worst backlog filled)
-// instead of staying silently empty.
-func TestSchedReadoutCompatFallback(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				br, bw := bufio.NewReader(c), bufio.NewWriter(c)
-				var buf []byte
-				for {
-					var err error
-					buf, err = readFrame(br, buf)
-					if err != nil {
-						return
-					}
-					d := snap.NewDecoder(buf)
-					e := snap.NewEncoder()
-					if typ := d.Uint64(); typ == msgStats {
-						encodeStatsResp(e, []TenantStats{
-							{ID: "load-000", MaxPending: 7},
-							{ID: "load-001", MaxPending: 11},
-							{ID: "other", MaxPending: 99},
-						})
-						writeFrame(bw, e.Bytes())
-						bw.Flush()
-						continue
-					}
-					// A pre-v3 server treats msgStatsEx as an unknown type:
-					// error response, then connection close.
-					(&errResp{Code: codeBadRequest, Msg: "unknown message type"}).encode(e)
-					writeFrame(bw, e.Bytes())
-					bw.Flush()
-					return
-				}
-			}(c)
-		}
-	}()
-
-	rep := &LoadReport{}
-	rep.fillSchedReadout(&LoadConfig{Addr: ln.Addr().String(), Tenants: 2})
-	if !rep.SchedReadoutDegraded {
-		t.Fatal("SchedReadoutDegraded not set against a pre-v3 server")
-	}
-	if rep.WorstBacklog != 11 || rep.WorstBacklogTenant != "load-001" {
-		t.Fatalf("degraded readout = %d (%s), want 11 (load-001)", rep.WorstBacklog, rep.WorstBacklogTenant)
-	}
-	if rep.WorstDelayTenant != "" || rep.WorstDelayFactor != 0 {
-		t.Fatalf("degraded readout must leave DF fields zero, got %v (%s)", rep.WorstDelayFactor, rep.WorstDelayTenant)
-	}
 }

@@ -27,9 +27,8 @@ const (
 	ReqStatsAll
 	// ReqPing is a liveness probe; a router answers for the fleet.
 	ReqPing
-	// ReqDuraStats is a durability-counter request (protocol v6); a
-	// router fans it out and answers with summed totals plus a
-	// per-backend breakdown.
+	// ReqDuraStats is a durability-counter request; a router fans it
+	// out and answers with summed totals plus a per-backend breakdown.
 	ReqDuraStats
 )
 
@@ -38,9 +37,8 @@ const (
 // it generates itself, and decide whether the frame mutates tenant
 // state (and so must be teed to a warm standby).
 type PeekInfo struct {
-	// Tagged reports a protocol-v2 pipelining envelope; Tag is its tag,
-	// which every response — including router-generated errors — must
-	// echo.
+	// Tagged reports a pipelining envelope; Tag is its tag, which every
+	// response — including router-generated errors — must echo.
 	Tagged bool
 	// Tag is the envelope's request tag (meaningful only when Tagged).
 	Tag uint64
@@ -49,10 +47,6 @@ type PeekInfo struct {
 	// Tenant is the routing key: the tenant the request addresses
 	// (meaningful only for ReqTenant).
 	Tenant string
-	// Extended distinguishes the v3 extended stats command from the
-	// legacy one, so a router answering a fan-out picks the right
-	// response shape.
-	Extended bool
 	// Mutating reports a request that advances tenant state (open,
 	// submit, submit-batch, drain, close) — the set a warm-standby tee
 	// must replicate. Read-only commands and the migration pair are
@@ -87,16 +81,12 @@ func PeekRequest(body []byte) (PeekInfo, error) {
 		d.Int() // version
 		info.Tenant = d.String()
 		info.Mutating = typ == msgOpen
-	case msgSubmit, msgSubmitBatch:
-		info.Tenant = d.String()
-		info.Mutating = true
-	case msgDrain, msgCloseTenant:
+	case msgSubmit, msgSubmitBatch, msgDrain, msgCloseTenant:
 		info.Tenant = d.String()
 		info.Mutating = true
 	case msgResult, msgSnapshot, msgRelease:
 		info.Tenant = d.String()
-	case msgStats, msgStatsEx:
-		info.Extended = typ == msgStatsEx
+	case msgStats:
 		info.Tenant = d.String()
 		if info.Tenant == "" {
 			info.Kind = ReqStatsAll
@@ -132,15 +122,10 @@ func appendEnvelope(e *snap.Encoder, info PeekInfo) {
 }
 
 // AppendStatsResponse encodes a stats response for the rows a router
-// merged from its backends, in the shape the peeked request asked for
-// (legacy or extended) and under its tagged envelope if any.
+// merged from its backends, under the request's tagged envelope if any.
 func AppendStatsResponse(e *snap.Encoder, info PeekInfo, rows []TenantStats) {
 	appendEnvelope(e, info)
-	if info.Extended {
-		encodeStatsRespEx(e, rows)
-	} else {
-		encodeStatsResp(e, rows)
-	}
+	statsResp(rows).encode(e)
 }
 
 // AppendPingResponse encodes a ping response (fleet-wide draining flag

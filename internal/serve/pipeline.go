@@ -44,8 +44,8 @@ type pinflight struct {
 }
 
 // Pipeline keeps up to window submit frames in flight on one Client
-// connection, using protocol-v2 tagged frames: requests are staged into
-// the write buffer without waiting for responses, and acknowledgements
+// connection, using tagged frames: requests are staged into the write
+// buffer without waiting for responses, and acknowledgements
 // are reaped — matched to their request by tag — when the window is
 // full or on Flush. Against a loopback server this collapses the
 // per-round wire cost from one full round trip (two syscalls and a

@@ -216,10 +216,9 @@ func TestPipelinedRejections(t *testing.T) {
 	}
 }
 
-// TestOpenVersionNegotiation: the server speaks MinProtocolVersion
-// through ProtocolVersion. A v1 peer (which simply never sends tagged
-// or batch frames) still opens; a future version is refused with the
-// supported range.
+// TestOpenVersionNegotiation: the server speaks exactly
+// ProtocolVersion. The neighbouring versions on either side and 0 are
+// refused with codeBadVersion.
 func TestOpenVersionNegotiation(t *testing.T) {
 	inst := testInstance(t, 4, 0)
 	s := startServer(t, Config{})
@@ -230,8 +229,7 @@ func TestOpenVersionNegotiation(t *testing.T) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.enc.Reset()
-		(&openMsg{Version: version, Tenant: tenant, Policy: tc.Policy,
-			N: tc.N, Delta: tc.Delta, Delays: tc.Delays}).encode(c.enc)
+		(&openMsg{Version: version, Tenant: tenant, TenantConfig: tc}).encode(c.enc)
 		d, err := c.roundtrip(msgOpen)
 		if err != nil {
 			return err
@@ -241,18 +239,14 @@ func TestOpenVersionNegotiation(t *testing.T) {
 		return c.done(d)
 	}
 
-	if err := open(MinProtocolVersion, "v1peer"); err != nil {
-		t.Fatalf("open at MinProtocolVersion = %v, want accepted", err)
-	}
-	if err := open(ProtocolVersion, "v2peer"); err != nil {
+	if err := open(ProtocolVersion, "current"); err != nil {
 		t.Fatalf("open at ProtocolVersion = %v, want accepted", err)
 	}
-	var re *RemoteError
-	if err := open(ProtocolVersion+1, "future"); !errors.As(err, &re) || re.Code != codeBadVersion {
-		t.Fatalf("open at version %d = %v, want codeBadVersion", ProtocolVersion+1, err)
-	}
-	if err := open(0, "ancient"); !errors.As(err, &re) || re.Code != codeBadVersion {
-		t.Fatalf("open at version 0 = %v, want codeBadVersion", err)
+	for _, v := range []int{ProtocolVersion - 1, ProtocolVersion + 1, 0} {
+		var re *RemoteError
+		if err := open(v, "other"); !errors.As(err, &re) || re.Code != codeBadVersion {
+			t.Fatalf("open at version %d = %v, want codeBadVersion", v, err)
+		}
 	}
 }
 

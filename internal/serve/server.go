@@ -28,28 +28,23 @@ type Config struct {
 	// Addr is the TCP listen address ("127.0.0.1:0" picks a free port).
 	Addr string
 	// CheckpointDir enables durability: every tenant gets a metadata
-	// file at open and a periodic checkpoint of its stream state, and
-	// NewServer recovers all tenants found there. "" disables both.
+	// file at open, its periodic checkpoints are appended to a shared
+	// group-commit segment log (internal/ckptlog) whose committer batches
+	// the fsyncs, and NewServer recovers all tenants found there. ""
+	// disables both.
 	CheckpointDir string
 	// CheckpointEvery is the number of applied rounds between periodic
 	// per-tenant checkpoints (default 64). Graceful shutdown always
 	// writes a final checkpoint regardless.
 	CheckpointEvery int
-	// CkptMode selects the durability backend when CheckpointDir is set:
-	// "log" (the default) appends every tenant's checkpoints to a shared
-	// group-commit segment log (internal/ckptlog) whose committer batches
-	// the fsyncs, "files" writes one fsynced .ckpt file per tenant per
-	// checkpoint (the pre-log behavior, and still the release/migration
-	// blob format).
-	CkptMode string
-	// CkptCommitInterval is the group-commit fsync interval of the "log"
-	// backend (default 2ms). Appends buffered within one interval share a
+	// CkptCommitInterval is the checkpoint log's group-commit fsync
+	// interval (default 2ms). Appends buffered within one interval share a
 	// single fsync; a crash loses at most the last interval's records.
 	CkptCommitInterval time.Duration
 	// CkptSegmentBytes caps a log segment before rotation (default 4MiB).
 	CkptSegmentBytes int
-	// CkptAdaptive enables per-tenant adaptive checkpoint pacing in log
-	// mode: the round gap between checkpoints is chosen from the measured
+	// CkptAdaptive enables per-tenant adaptive checkpoint pacing: the
+	// round gap between checkpoints is chosen from the measured
 	// snapshot cost versus apply cost, weighted by the tenant's Weight,
 	// instead of the fixed CheckpointEvery cadence.
 	CkptAdaptive bool
@@ -119,9 +114,6 @@ func (c *Config) fill() {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
 	}
-	if c.CkptMode == "" {
-		c.CkptMode = "log"
-	}
 	if c.CkptPaceMin <= 0 {
 		c.CkptPaceMin = 1
 	}
@@ -174,11 +166,9 @@ type Server struct {
 	tree *bdr.Tree
 	ctrl *bdr.Controller
 
-	// clog is the shared group-commit checkpoint log (CkptMode "log");
-	// nil in files mode or when durability is off. dura counts the
-	// files-mode write traffic so DuraStats has numbers in either mode.
+	// clog is the shared group-commit checkpoint log; nil when
+	// durability is off.
 	clog *ckptlog.Log
-	dura duraCounters
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -197,15 +187,6 @@ type Server struct {
 
 	stopOnce sync.Once
 	stopErr  error
-}
-
-// duraCounters tallies files-mode durability traffic (each checkpoint
-// write is one append, its own fsync). Log mode reads the equivalent
-// numbers from ckptlog.Stats instead.
-type duraCounters struct {
-	appends atomic.Int64
-	bytes   atomic.Int64
-	fsyncs  atomic.Int64
 }
 
 // shard is one worker's set of tenants. wake is a coalesced
@@ -283,26 +264,18 @@ func NewServer(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("serve: creating checkpoint dir: %w", err)
 		}
-		switch cfg.CkptMode {
-		case "log":
-			clog, err := ckptlog.Open(ckptlog.Options{
-				Dir:            cfg.CheckpointDir,
-				CommitInterval: cfg.CkptCommitInterval,
-				SegmentBytes:   int64(cfg.CkptSegmentBytes),
-				Logf:           cfg.Logf,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("serve: opening checkpoint log: %w", err)
-			}
-			s.clog = clog
-		case "files":
-		default:
-			return nil, fmt.Errorf("serve: unknown checkpoint mode %q (want \"log\" or \"files\")", cfg.CkptMode)
+		clog, err := ckptlog.Open(ckptlog.Options{
+			Dir:            cfg.CheckpointDir,
+			CommitInterval: cfg.CkptCommitInterval,
+			SegmentBytes:   int64(cfg.CkptSegmentBytes),
+			Logf:           cfg.Logf,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("serve: opening checkpoint log: %w", err)
 		}
+		s.clog = clog
 		if err := s.recover(); err != nil {
-			if s.clog != nil {
-				s.clog.Close()
-			}
+			s.clog.Close()
 			return nil, err
 		}
 	}
@@ -368,8 +341,9 @@ func (s *Server) Serve() error {
 
 // Shutdown drains gracefully: stop admitting work (in-flight submits
 // get ErrDraining), stop the shard workers, flush every tenant's queued
-// round ticks, write a final checkpoint per tenant, then close all
-// connections. It is the SIGTERM path of cmd/rrserved.
+// round ticks, append a final checkpoint per tenant, close all
+// connections, then commit the checkpoint log. It is the SIGTERM path
+// of cmd/rrserved.
 func (s *Server) Shutdown() error { return s.stop(true) }
 
 // Close stops abruptly — no flush, no final checkpoints — leaving only
@@ -385,11 +359,7 @@ func (s *Server) stop(flush bool) error {
 		s.shardWG.Wait()
 		if flush {
 			for _, t := range s.tenantList() {
-				blob, round := t.flush()
-				if blob == nil {
-					continue
-				}
-				if err := t.writeCheckpoint(blob, round); err != nil {
+				if err := t.flush(); err != nil {
 					s.logf("%v", err)
 					if s.stopErr == nil {
 						s.stopErr = err
@@ -519,40 +489,78 @@ func validTenantID(id string) bool {
 	return true
 }
 
-// newSink sizes a tenant's MetricsSink from its configuration: the wait
-// histogram spans the delay-bound range, the depth one a generous
-// multiple of what a full queue can hold.
-func newSink(cfg sched.StreamConfig) *sched.MetricsSink {
-	maxDelay := 1
-	for _, d := range cfg.Delays {
-		if d > maxDelay {
-			maxDelay = d
-		}
-	}
-	return sched.NewMetricsSink(maxDelay, 1024)
-}
-
 // maxTenantWeight bounds the per-tenant service weight an open request
 // may declare, keeping deficit arithmetic well-conditioned.
 const maxTenantWeight = 1 << 20
 
-// attachDurability points a tenant at the server's durability backend:
-// the shared group-commit log plus the pacing knobs in log mode, a
-// per-tenant .ckpt path plus the files-mode counters otherwise. The
-// meta path is per-tenant in both modes. Callers must have checked
-// s.cfg.CheckpointDir != "".
-func (s *Server) attachDurability(t *tenant) {
-	t.metaPath = filepath.Join(s.cfg.CheckpointDir, t.id+".meta")
-	t.logf = s.logf
+// newTenant builds a tenant from its normalized configuration, without
+// its stream: the caller creates or restores the stream with &t.probe
+// as its Probe. Durability is attached when the server has a
+// checkpoint log.
+func (s *Server) newTenant(id string, pol sched.Policy, conf TenantConfig) *tenant {
+	t := &tenant{
+		id: id, polName: pol.Name(), conf: conf,
+		minDelay: minDelayOf(conf.Delays),
+		res:      bdr.BDR{Rate: conf.ResRate, Delay: conf.ResDelay},
+	}
 	if s.clog != nil {
 		t.clog = s.clog
+		t.metaPath = filepath.Join(s.cfg.CheckpointDir, id+".meta")
+		t.logf = s.logf
 		t.adaptive = s.cfg.CkptAdaptive
 		t.paceMin = s.cfg.CkptPaceMin
 		t.paceMax = s.cfg.CkptPaceMax
-		return
 	}
-	t.ckptPath = filepath.Join(s.cfg.CheckpointDir, t.id+".ckpt")
-	t.dura = &s.dura
+	return t
+}
+
+// checkRequest validates the fields open and restore share — protocol
+// version, tenant ID, service weight and BDR reservation — and returns
+// the configuration with its defaults resolved: Speed 0 selects 1,
+// QueueCap 0 the server default, Weight 0 the weight 1. A reservation
+// on a non-BDR server is a bad request (the client asked for a
+// guarantee this server cannot enforce), and a malformed one is
+// rejected before the admission check.
+func (s *Server) checkRequest(version int, id string, tc TenantConfig) (TenantConfig, *errResp) {
+	res := bdr.BDR{Rate: tc.ResRate, Delay: tc.ResDelay}
+	switch {
+	case version != ProtocolVersion:
+		return tc, &errResp{Code: codeBadVersion,
+			Msg: fmt.Sprintf("protocol version %d, server speaks %d", version, ProtocolVersion)}
+	case !validTenantID(id):
+		return tc, &errResp{Code: codeBadRequest,
+			Msg: fmt.Sprintf("invalid tenant ID %q (want 1-64 chars of [A-Za-z0-9_-])", id)}
+	case tc.Weight < 0 || tc.Weight > maxTenantWeight:
+		return tc, &errResp{Code: codeBadRequest,
+			Msg: fmt.Sprintf("invalid tenant weight %d (want 0-%d; 0 selects 1)", tc.Weight, maxTenantWeight)}
+	case res.IsZero():
+	case !s.cfg.BDR:
+		return tc, &errResp{Code: codeBadRequest,
+			Msg: "tenant reservation requires a BDR-enabled server (rrserved -bdr)"}
+	case !res.Valid() || res.Rate > 1:
+		return tc, &errResp{Code: codeBadRequest,
+			Msg: fmt.Sprintf("invalid reservation (rate %g, delay %g): want 0 < rate ≤ 1 and delay ≥ 0", res.Rate, res.Delay)}
+	}
+	if tc.Speed == 0 {
+		tc.Speed = 1
+	}
+	if tc.QueueCap <= 0 {
+		tc.QueueCap = s.cfg.DefaultQueueCap
+	}
+	tc.Weight = max(tc.Weight, 1)
+	tc.Delays = slices.Clone(tc.Delays)
+	return tc, nil
+}
+
+// stream is the configuration's sched.StreamConfig (Probe unset).
+func (tc *TenantConfig) stream() sched.StreamConfig {
+	return sched.StreamConfig{N: tc.N, Speed: tc.Speed, Delta: tc.Delta, Delays: tc.Delays}
+}
+
+// sameStream reports whether a stream configuration — a snapshot's,
+// from sched.PeekSnapshot — is the one tc declares.
+func (tc *TenantConfig) sameStream(c sched.StreamConfig) bool {
+	return c.N == tc.N && c.Speed == tc.Speed && c.Delta == tc.Delta && slices.Equal(c.Delays, tc.Delays)
 }
 
 // minDelayOf returns the tightest positive delay bound in a tenant's
@@ -567,39 +575,19 @@ func minDelayOf(delays []int) int {
 	return max(md, 1)
 }
 
-// matches reports whether an open request names the same configuration
-// this tenant runs under, so a client can re-attach idempotently.
-func (t *tenant) matches(m *openMsg, defaultCap int) bool {
-	qcap := m.QueueCap
-	if qcap <= 0 {
-		qcap = defaultCap
-	}
-	speed := m.Speed
-	if speed == 0 {
-		speed = 1
-	}
-	return t.spec == m.Policy && t.qcap == qcap && t.weight == max(m.Weight, 1) &&
-		t.cfg.N == m.N && t.cfg.Speed == speed && t.cfg.Delta == m.Delta &&
-		slices.Equal(t.cfg.Delays, m.Delays) &&
-		t.res == (bdr.BDR{Rate: m.ResRate, Delay: m.ResDelay})
+// matches reports whether a normalized open request names the
+// configuration this tenant runs under, so a client can re-attach
+// idempotently.
+func (t *tenant) matches(want *TenantConfig) bool {
+	c := &t.conf
+	return c.Policy == want.Policy && c.QueueCap == want.QueueCap && c.Weight == want.Weight &&
+		c.ResRate == want.ResRate && c.ResDelay == want.ResDelay && c.sameStream(want.stream())
 }
 
 // open creates a tenant, or re-attaches to a live one with a matching
 // configuration.
 func (s *Server) open(m *openMsg) (*openResp, *errResp) {
-	if m.Version < MinProtocolVersion || m.Version > ProtocolVersion {
-		return nil, &errResp{Code: codeBadVersion,
-			Msg: fmt.Sprintf("protocol version %d, server speaks %d-%d", m.Version, MinProtocolVersion, ProtocolVersion)}
-	}
-	if !validTenantID(m.Tenant) {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("invalid tenant ID %q (want 1-64 chars of [A-Za-z0-9_-])", m.Tenant)}
-	}
-	if m.Weight < 0 || m.Weight > maxTenantWeight {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("invalid tenant weight %d (want 0-%d; 0 selects 1)", m.Weight, maxTenantWeight)}
-	}
-	res, er := s.checkReservation(m.ResRate, m.ResDelay)
+	conf, er := s.checkRequest(m.Version, m.Tenant, m.TenantConfig)
 	if er != nil {
 		return nil, er
 	}
@@ -612,88 +600,64 @@ func (s *Server) open(m *openMsg) (*openResp, *errResp) {
 		if t.isReleased() {
 			return nil, &errResp{Code: codeDraining, Msg: "tenant " + m.Tenant + " is migrating"}
 		}
-		if !t.matches(m, s.cfg.DefaultQueueCap) {
+		if !t.matches(&conf) {
 			return nil, &errResp{Code: codeTenantExists,
 				Msg: "tenant " + m.Tenant + " exists with a different configuration"}
 		}
 		return &openResp{NextSeq: t.nextSeq(), Resumed: true}, nil
 	}
-	if s.draining.Load() {
-		return nil, &errResp{Code: codeDraining, Msg: "server is draining"}
-	}
-	if len(s.tenants) >= s.cfg.MaxTenants {
-		return nil, &errResp{Code: codeOverloaded,
-			Msg: fmt.Sprintf("tenant limit %d reached", s.cfg.MaxTenants)}
-	}
-	pol, err := NewPolicy(m.Policy)
+	pol, err := NewPolicy(conf.Policy)
 	if err != nil {
 		return nil, &errResp{Code: codeBadPolicy, Msg: err.Error()}
 	}
-	qcap := m.QueueCap
-	if qcap <= 0 {
-		qcap = s.cfg.DefaultQueueCap
-	}
-	cfg := sched.StreamConfig{N: m.N, Speed: m.Speed, Delta: m.Delta, Delays: slices.Clone(m.Delays)}
-	if cfg.Speed == 0 {
-		cfg.Speed = 1
-	}
-	sink := newSink(cfg)
-	scfg := cfg
-	scfg.Probe = sink
-	st, err := sched.NewStream(pol, scfg)
-	if err != nil {
+	t := s.newTenant(m.Tenant, pol, conf)
+	scfg := conf.stream()
+	scfg.Probe = &t.probe
+	if t.st, err = sched.NewStream(pol, scfg); err != nil {
 		return nil, &errResp{Code: codeBadRequest, Msg: err.Error()}
 	}
-	t := &tenant{
-		id: m.Tenant, spec: m.Policy, polName: pol.Name(),
-		cfg: cfg, qcap: qcap, st: st, sink: sink,
-		weight: max(m.Weight, 1), minDelay: minDelayOf(cfg.Delays),
-		res: res,
+	if er := s.admitLocked(t, nil); er != nil {
+		return nil, er
+	}
+	return &openResp{NextSeq: 0, Resumed: false}, nil
+}
+
+// admitLocked installs a new tenant (its stream already built): the
+// draining and tenant-limit checks, the supply-bound-function
+// feasibility check for a reserved tenant — atomic with registration,
+// so an infeasible reservation is rejected before any state is created
+// — the durable metadata plus, for a restore, the released blob as the
+// first checkpoint (see tenant.persist), and registration with its
+// shard. Callers hold s.mu.
+func (s *Server) admitLocked(t *tenant, blob []byte) *errResp {
+	if s.draining.Load() {
+		return &errResp{Code: codeDraining, Msg: "server is draining"}
+	}
+	if len(s.tenants) >= s.cfg.MaxTenants {
+		return &errResp{Code: codeOverloaded,
+			Msg: fmt.Sprintf("tenant limit %d reached", s.cfg.MaxTenants)}
 	}
 	shard := s.shardIndex(t.id)
-	if !res.IsZero() {
-		// The supply-bound-function feasibility check (mu is held, so
-		// the admit is atomic with registration): an infeasible
-		// reservation is rejected here, before any state is created —
-		// nothing is queued, nothing shed.
-		if err := s.tree.Admit(shard, t.id, res); err != nil {
-			return nil, admissionErrResp(err)
+	if !t.res.IsZero() {
+		// On a restore this re-runs admission against this server's
+		// shard capacity: a migration target honors reservations it can
+		// feasibly host and bounces the restore otherwise, so moving a
+		// tenant can never overcommit a shard (the proxy surfaces the
+		// typed rejection and restores the tenant back on its source).
+		if err := s.tree.Admit(shard, t.id, t.res); err != nil {
+			return admissionErrResp(err)
 		}
 	}
-	if s.cfg.CheckpointDir != "" {
-		s.attachDurability(t)
-		if err := writeMeta(t.metaPath, t.spec, t.qcap, t.weight, res, cfg); err != nil {
-			if !res.IsZero() {
-				s.tree.Release(shard, t.id)
-			}
-			return nil, &errResp{Code: codeInternal, Msg: err.Error()}
+	if err := t.persist(blob); err != nil {
+		if !t.res.IsZero() {
+			s.tree.Release(shard, t.id)
 		}
+		return &errResp{Code: codeInternal, Msg: err.Error()}
 	}
 	s.tenants[t.id] = t
 	s.sorted = nil
 	s.shards[shard].add(t)
-	return &openResp{NextSeq: 0, Resumed: false}, nil
-}
-
-// checkReservation validates an open/restore request's optional BDR
-// reservation against the server configuration: a reservation on a
-// non-BDR server is a bad request (the client asked for a guarantee
-// this server cannot enforce), and a malformed one is rejected before
-// the admission check.
-func (s *Server) checkReservation(rate, delay float64) (bdr.BDR, *errResp) {
-	if rate == 0 && delay == 0 {
-		return bdr.BDR{}, nil
-	}
-	if !s.cfg.BDR {
-		return bdr.BDR{}, &errResp{Code: codeBadRequest,
-			Msg: "tenant reservation requires a BDR-enabled server (rrserved -bdr)"}
-	}
-	res := bdr.BDR{Rate: rate, Delay: delay}
-	if !res.Valid() || res.Rate > 1 {
-		return bdr.BDR{}, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("invalid reservation (rate %g, delay %g): want 0 < rate ≤ 1 and delay ≥ 0", rate, delay)}
-	}
-	return res, nil
+	return nil
 }
 
 // admissionErrResp converts a reservation-tree rejection into the
@@ -718,9 +682,9 @@ func admissionErrResp(err error) *errResp {
 // one tenant-lock critical section (drainAndClose), so a concurrent
 // Submit can never be admitted — and acknowledged — after the final
 // Result was computed and then silently dropped with the tenant; it is
-// either included in the Result or rejected as closed. File removal is
-// tombstoned (removeFiles) so a shard worker holding a pre-close
-// snapshot blob cannot resurrect durable files a restart would recover.
+// either included in the Result or rejected as closed. removeFiles
+// orders the log tombstone after every checkpoint a shard worker
+// appended, so a restart cannot resurrect the tenant.
 func (s *Server) closeTenant(id string) (*sched.Result, *errResp) {
 	t := s.tenant(id)
 	if t == nil {
@@ -750,7 +714,7 @@ func (s *Server) closeTenant(id string) (*sched.Result, *errResp) {
 // every later command with a retryable draining error), unregister it
 // from its shard and delete its durable files. The returned response
 // carries everything a restore on the migration target needs.
-func (s *Server) release(id string) (*releaseResp, *errResp) {
+func (s *Server) release(id string) (*ReleasedTenant, *errResp) {
 	t := s.tenant(id)
 	if t == nil {
 		return nil, &errResp{Code: codeUnknownTenant, Msg: "unknown tenant " + id}
@@ -781,39 +745,23 @@ func (s *Server) release(id string) (*releaseResp, *errResp) {
 // the tenant. Restoring over a released tombstone is allowed — that is
 // how a tenant migrates back — but an open tenant rejects the restore.
 func (s *Server) restore(m *restoreMsg) (*restoreResp, *errResp) {
-	if m.Version < MinProtocolVersion || m.Version > ProtocolVersion {
-		return nil, &errResp{Code: codeBadVersion,
-			Msg: fmt.Sprintf("protocol version %d, server speaks %d-%d", m.Version, MinProtocolVersion, ProtocolVersion)}
+	conf, er := s.checkRequest(m.Version, m.Tenant, m.TenantConfig)
+	if er != nil {
+		return nil, er
 	}
-	if !validTenantID(m.Tenant) {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("invalid tenant ID %q (want 1-64 chars of [A-Za-z0-9_-])", m.Tenant)}
-	}
-	if m.Weight < 0 || m.Weight > maxTenantWeight {
-		return nil, &errResp{Code: codeBadRequest,
-			Msg: fmt.Sprintf("invalid tenant weight %d (want 0-%d; 0 selects 1)", m.Weight, maxTenantWeight)}
-	}
-	res, rer := s.checkReservation(m.ResRate, m.ResDelay)
-	if rer != nil {
-		return nil, rer
-	}
-	pol, err := NewPolicy(m.Policy)
+	pol, err := NewPolicy(conf.Policy)
 	if err != nil {
 		return nil, &errResp{Code: codeBadPolicy, Msg: err.Error()}
-	}
-	cfg := sched.StreamConfig{N: m.N, Speed: m.Speed, Delta: m.Delta, Delays: slices.Clone(m.Delays)}
-	if cfg.Speed == 0 {
-		cfg.Speed = 1
 	}
 	// The blob embeds the configuration it was snapshotted under; a
 	// mismatch with the declared one proves the blob belongs to some
 	// other tenant (or got corrupted in transit) — reject before any
 	// state is created.
-	pcfg, polName, perr := sched.PeekSnapshot(m.Blob)
-	if perr != nil {
-		return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", perr)}
+	pcfg, polName, err := sched.PeekSnapshot(m.Blob)
+	if err != nil {
+		return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", err)}
 	}
-	if pcfg.N != cfg.N || pcfg.Speed != cfg.Speed || pcfg.Delta != cfg.Delta || !slices.Equal(pcfg.Delays, cfg.Delays) {
+	if !conf.sameStream(pcfg) {
 		return nil, &errResp{Code: codeBadRequest,
 			Msg: "restore blob configuration does not match the declared configuration"}
 	}
@@ -821,88 +769,22 @@ func (s *Server) restore(m *restoreMsg) (*restoreResp, *errResp) {
 		return nil, &errResp{Code: codeBadRequest,
 			Msg: fmt.Sprintf("restore blob policy %q does not match declared policy %q", polName, pol.Name())}
 	}
-	qcap := m.QueueCap
-	if qcap <= 0 {
-		qcap = s.cfg.DefaultQueueCap
-	}
-	sink := newSink(cfg)
-	st, err := sched.RestoreStream(pol, m.Blob, sink)
-	if err != nil {
+	t := s.newTenant(m.Tenant, pol, conf)
+	if t.st, err = sched.RestoreStream(pol, m.Blob, &t.probe); err != nil {
 		return nil, &errResp{Code: codeBadRequest, Msg: fmt.Sprintf("restore blob: %v", err)}
 	}
-	t := &tenant{
-		id: m.Tenant, spec: m.Policy, polName: pol.Name(),
-		cfg: cfg, qcap: qcap, st: st, sink: sink,
-		weight: max(m.Weight, 1), minDelay: minDelayOf(cfg.Delays),
-		res: res,
-	}
-	shard := s.shardIndex(t.id)
 	s.mu.Lock()
 	if old := s.tenants[m.Tenant]; old != nil && !old.isReleased() {
-		s.mu.Unlock()
-		return nil, &errResp{Code: codeTenantExists, Msg: "tenant " + m.Tenant + " is already open"}
+		er = &errResp{Code: codeTenantExists, Msg: "tenant " + m.Tenant + " is already open"}
+	} else {
+		er = s.admitLocked(t, m.Blob)
 	}
-	if s.draining.Load() {
-		s.mu.Unlock()
-		return nil, &errResp{Code: codeDraining, Msg: "server is draining"}
-	}
-	if len(s.tenants) >= s.cfg.MaxTenants {
-		s.mu.Unlock()
-		return nil, &errResp{Code: codeOverloaded,
-			Msg: fmt.Sprintf("tenant limit %d reached", s.cfg.MaxTenants)}
-	}
-	if !res.IsZero() {
-		// Re-run admission against this server's shard capacity: a
-		// migration target honors reservations it can feasibly host and
-		// bounces the restore otherwise, so moving a tenant can never
-		// overcommit a shard (the proxy surfaces the typed rejection and
-		// restores the tenant back on its source).
-		if err := s.tree.Admit(shard, t.id, res); err != nil {
-			s.mu.Unlock()
-			return nil, admissionErrResp(err)
-		}
-	}
-	releaseRes := func() {
-		if !res.IsZero() {
-			s.tree.Release(shard, t.id)
-		}
-	}
-	if s.cfg.CheckpointDir != "" {
-		s.attachDurability(t)
-		if err := writeMeta(t.metaPath, t.spec, t.qcap, t.weight, res, cfg); err != nil {
-			releaseRes()
-			s.mu.Unlock()
-			return nil, &errResp{Code: codeInternal, Msg: err.Error()}
-		}
-		if round := st.Round(); round > 0 {
-			if s.clog != nil {
-				// A full record shadows any tombstone left by an earlier
-				// release of this id; synced immediately because the route
-				// flip follows the restore acknowledgement.
-				err := s.clog.Append(t.id, ckptlog.KindFull, round, 0, m.Blob)
-				if err == nil {
-					err = s.clog.Sync()
-				}
-				if err != nil {
-					releaseRes()
-					s.mu.Unlock()
-					return nil, &errResp{Code: codeInternal, Msg: fmt.Sprintf("serve: tenant %s: logging restore checkpoint: %v", t.id, err)}
-				}
-			} else if err := trace.SaveCheckpointState(t.ckptPath, m.Blob); err != nil {
-				releaseRes()
-				s.mu.Unlock()
-				return nil, &errResp{Code: codeInternal, Msg: fmt.Sprintf("serve: tenant %s: writing restore checkpoint: %v", t.id, err)}
-			}
-			t.lastCkpt = round
-			t.writtenRound = round
-		}
-	}
-	s.tenants[t.id] = t
-	s.sorted = nil
 	s.mu.Unlock()
-	s.shards[shard].add(t)
-	s.logf("serve: restored tenant %s at round %d", t.id, st.Round())
-	return &restoreResp{NextSeq: st.Round()}, nil
+	if er != nil {
+		return nil, er
+	}
+	s.logf("serve: restored tenant %s at round %d", t.id, t.st.Round())
+	return &restoreResp{NextSeq: t.st.Round()}, nil
 }
 
 // StartStatsLogger starts a goroutine that logs SchedSummary through
@@ -932,10 +814,9 @@ func (s *Server) StartStatsLogger(every time.Duration) {
 
 // ——— Durable tenant metadata and recovery ———
 
-// metaVersion 2 appended the tenant weight; version 3 the BDR
-// reservation. Older files (no weight, implicitly 1; no reservation,
-// implicitly none) are still read so an upgrade restarts cleanly over
-// an old checkpoint directory.
+// metaVersion is the tenant-metadata format (policy spec, queue cap,
+// stream configuration, weight, BDR reservation). A file of any other
+// version fails recovery loudly.
 const metaVersion = 3
 
 // writeMeta persists the open-time facts a checkpoint blob does not
@@ -944,57 +825,35 @@ const metaVersion = 3
 // rebuild a tenant that crashed before its first checkpoint. The
 // payload rides in the same CRC-checked container as checkpoints,
 // written atomically.
-func writeMeta(path, spec string, qcap, weight int, res bdr.BDR, cfg sched.StreamConfig) error {
+func writeMeta(path string, conf *TenantConfig) error {
 	e := snap.NewEncoder()
 	e.Int(metaVersion)
-	e.String(spec)
-	e.Int(qcap)
-	e.Int(cfg.N)
-	e.Int(cfg.Speed)
-	e.Int(cfg.Delta)
-	e.Ints(cfg.Delays)
-	e.Int(weight)
-	e.Float64(res.Rate)
-	e.Float64(res.Delay)
+	conf.encode(e)
 	if err := trace.SaveCheckpointState(path, e.Bytes()); err != nil {
 		return fmt.Errorf("serve: writing tenant metadata: %w", err)
 	}
 	return nil
 }
 
-func readMeta(path string) (spec string, qcap, weight int, res bdr.BDR, cfg sched.StreamConfig, err error) {
+func readMeta(path string) (conf TenantConfig, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return "", 0, 0, res, cfg, err
+		return conf, err
 	}
 	defer f.Close()
 	payload, err := trace.ReadCheckpoint(f)
 	if err != nil {
-		return "", 0, 0, res, cfg, fmt.Errorf("serve: reading tenant metadata %s: %w", path, err)
+		return conf, fmt.Errorf("serve: reading tenant metadata %s: %w", path, err)
 	}
 	d := snap.NewDecoder(payload)
-	v := d.Int()
-	if d.Err() == nil && (v < 1 || v > metaVersion) {
-		return "", 0, 0, res, cfg, fmt.Errorf("serve: tenant metadata %s: version %d, this build reads 1-%d", path, v, metaVersion)
+	if v := d.Int(); d.Err() == nil && v != metaVersion {
+		return conf, fmt.Errorf("serve: tenant metadata %s: version %d, this build reads %d", path, v, metaVersion)
 	}
-	spec = d.String()
-	qcap = d.Int()
-	cfg.N = d.Int()
-	cfg.Speed = d.Int()
-	cfg.Delta = d.Int()
-	cfg.Delays = d.Ints()
-	weight = 1
-	if v >= 2 {
-		weight = d.Int()
-	}
-	if v >= 3 {
-		res.Rate = d.Float64()
-		res.Delay = d.Float64()
-	}
+	conf.decode(d)
 	if err := d.Done(); err != nil {
-		return "", 0, 0, res, cfg, fmt.Errorf("serve: tenant metadata %s: %w", path, err)
+		return conf, fmt.Errorf("serve: tenant metadata %s: %w", path, err)
 	}
-	return spec, qcap, weight, res, cfg, nil
+	return conf, nil
 }
 
 // recover rebuilds every tenant whose metadata file survives in the
@@ -1027,15 +886,16 @@ func (s *Server) recover() error {
 
 func (s *Server) recoverTenant(id string) (*tenant, error) {
 	metaPath := filepath.Join(s.cfg.CheckpointDir, id+".meta")
-	spec, qcap, weight, res, cfg, err := readMeta(metaPath)
+	conf, err := readMeta(metaPath)
 	if err != nil {
 		return nil, err
 	}
-	pol, err := NewPolicy(spec)
+	pol, err := NewPolicy(conf.Policy)
 	if err != nil {
 		return nil, fmt.Errorf("serve: recovering tenant %s: %w", id, err)
 	}
-	if !res.IsZero() {
+	t := s.newTenant(id, pol, conf)
+	if res := t.res; !res.IsZero() {
 		// Re-admit the durable reservation. Failure is loud: it means
 		// the server was restarted with a smaller BDR capacity (or with
 		// -bdr off) than its recovered tenants were promised, and
@@ -1048,71 +908,38 @@ func (s *Server) recoverTenant(id string) (*tenant, error) {
 			return nil, fmt.Errorf("serve: recovering tenant %s: %w", id, aerr)
 		}
 	}
-	sink := newSink(cfg)
-	t := &tenant{
-		id: id, spec: spec, polName: pol.Name(),
-		cfg: cfg, qcap: qcap, sink: sink,
-		weight: max(weight, 1), minDelay: minDelayOf(cfg.Delays),
-		res: res,
-	}
-	s.attachDurability(t)
 
-	// Find the newest checkpoint blob in whichever backend is active. A
-	// missing blob (process died before the first checkpoint, or the
-	// log holds only a tombstone) recovers the tenant fresh at round 0
-	// — the metadata file is the record of its existence.
-	var blob []byte
-	logRound := -1
-	if s.clog != nil {
-		b, r, ok, lerr := s.clog.Latest(id)
-		if lerr != nil {
-			return nil, fmt.Errorf("serve: tenant %s: checkpoint log: %w", id, lerr)
-		}
-		if ok {
-			blob, logRound = b, r
-		}
-	} else {
-		f, oerr := os.Open(t.ckptPath)
-		switch {
-		case oerr == nil:
-			b, rerr := trace.ReadCheckpoint(f)
-			f.Close()
-			if rerr != nil {
-				return nil, fmt.Errorf("serve: tenant %s: %w", id, rerr)
-			}
-			blob = b
-		case os.IsNotExist(oerr):
-		default:
-			return nil, fmt.Errorf("serve: tenant %s: opening checkpoint: %w", id, oerr)
-		}
+	// A missing checkpoint (process died before the first one, or the
+	// log holds only a tombstone) recovers the tenant fresh at round 0 —
+	// the metadata file is the record of its existence.
+	blob, round, ok, err := s.clog.Latest(id)
+	if err != nil {
+		return nil, fmt.Errorf("serve: tenant %s: checkpoint log: %w", id, err)
 	}
-	if blob != nil {
-		// Cheap cross-check before the full restore: the checkpoint must
-		// have been taken under the configuration the metadata records.
-		pcfg, _, perr := sched.PeekSnapshot(blob)
-		if perr != nil {
-			return nil, fmt.Errorf("serve: tenant %s: %w", id, perr)
-		}
-		if pcfg.N != cfg.N || pcfg.Speed != cfg.Speed || pcfg.Delta != cfg.Delta || !slices.Equal(pcfg.Delays, cfg.Delays) {
-			return nil, fmt.Errorf("serve: tenant %s: checkpoint configuration does not match metadata", id)
-		}
-		t.st, err = sched.RestoreStream(pol, blob, sink)
-		if err != nil {
+	if !ok {
+		scfg := conf.stream()
+		scfg.Probe = &t.probe
+		if t.st, err = sched.NewStream(pol, scfg); err != nil {
 			return nil, fmt.Errorf("serve: tenant %s: %w", id, err)
 		}
-		if logRound >= 0 && logRound != t.st.Round() {
-			return nil, fmt.Errorf("serve: tenant %s: checkpoint log records round %d but the blob restores at round %d", id, logRound, t.st.Round())
-		}
-		t.lastCkpt = t.st.Round()
-		t.writtenRound = t.st.Round()
-	} else {
-		scfg := cfg
-		scfg.Probe = sink
-		t.st, err = sched.NewStream(pol, scfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: tenant %s: %w", id, err)
-		}
+		return t, nil
 	}
+	// Cheap cross-check before the full restore: the checkpoint must
+	// have been taken under the configuration the metadata records.
+	pcfg, _, err := sched.PeekSnapshot(blob)
+	if err != nil {
+		return nil, fmt.Errorf("serve: tenant %s: %w", id, err)
+	}
+	if !conf.sameStream(pcfg) {
+		return nil, fmt.Errorf("serve: tenant %s: checkpoint configuration does not match metadata", id)
+	}
+	if t.st, err = sched.RestoreStream(pol, blob, &t.probe); err != nil {
+		return nil, fmt.Errorf("serve: tenant %s: %w", id, err)
+	}
+	if round != t.st.Round() {
+		return nil, fmt.Errorf("serve: tenant %s: checkpoint log records round %d but the blob restores at round %d", id, round, t.st.Round())
+	}
+	t.lastCkpt = round
 	return t, nil
 }
 
@@ -1295,7 +1122,7 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 			s.shardFor(cs.batch.Tenant).poke()
 		}
 		(&batchResp{Admitted: admitted, Round: round, QueueDepth: depth, Err: er}).encode(enc)
-	case msgStats, msgStatsEx:
+	case msgStats:
 		var m tenantMsg
 		m.decode(d)
 		if d.Done() != nil {
@@ -1306,12 +1133,8 @@ func (s *Server) process(body []byte, cs *connState, enc *snap.Encoder) (closeCo
 			er.encode(enc)
 			return false
 		}
-		if typ == msgStatsEx {
-			s.fillServiceShares(rows, m.Tenant == "")
-			encodeStatsRespEx(enc, rows)
-		} else {
-			encodeStatsResp(enc, rows)
-		}
+		s.fillServiceShares(rows, m.Tenant == "")
+		statsResp(rows).encode(enc)
 	case msgResult, msgDrain, msgCloseTenant, msgSnapshot:
 		var m tenantMsg
 		m.decode(d)
@@ -1410,32 +1233,22 @@ func (s *Server) fillServiceShares(rows []TenantStats, allRows bool) {
 	}
 }
 
-// DuraStats reports the durability backend's cumulative counters: the
-// group-commit log's in log mode, the per-file write tallies in files
-// mode, zeros (Mode "off") when durability is disabled.
+// DuraStats reports the group-commit checkpoint log's cumulative
+// counters, or zeros (Mode "off") when durability is disabled.
 func (s *Server) DuraStats() DuraStats {
-	switch {
-	case s.clog != nil:
-		ls := s.clog.Stats()
-		return DuraStats{
-			Mode:        "log",
-			Appends:     ls.Appends,
-			Bytes:       ls.Bytes,
-			Fsyncs:      ls.Fsyncs,
-			Deltas:      ls.Deltas,
-			Rotations:   ls.Rotations,
-			Compactions: ls.Compactions,
-			Segments:    int64(ls.Segments),
-		}
-	case s.cfg.CheckpointDir != "":
-		return DuraStats{
-			Mode:    "files",
-			Appends: s.dura.appends.Load(),
-			Bytes:   s.dura.bytes.Load(),
-			Fsyncs:  s.dura.fsyncs.Load(),
-		}
-	default:
+	if s.clog == nil {
 		return DuraStats{Mode: "off"}
+	}
+	ls := s.clog.Stats()
+	return DuraStats{
+		Mode:        "log",
+		Appends:     ls.Appends,
+		Bytes:       ls.Bytes,
+		Fsyncs:      ls.Fsyncs,
+		Deltas:      ls.Deltas,
+		Rotations:   ls.Rotations,
+		Compactions: ls.Compactions,
+		Segments:    int64(ls.Segments),
 	}
 }
 
@@ -1491,23 +1304,10 @@ func (s *Server) tenantCommand(typ uint64, id string, enc *snap.Encoder) {
 		}
 		encodeResult(enc, msgResult, res)
 	case msgDrain:
-		res, blob, round, err := t.drainStream()
+		res, err := t.drain()
 		if err != nil {
 			(&errResp{Code: codeInternal, Msg: err.Error()}).encode(enc)
 			return
-		}
-		if blob != nil {
-			if werr := t.writeCheckpoint(blob, round); werr != nil {
-				s.logf("%v", werr)
-			}
-		} else if s.clog != nil {
-			// Log mode: the drain's final checkpoint was appended inside
-			// drainStream; sync it so a drain acknowledgement means the
-			// drained state is durable, exactly as the files-mode write
-			// (with its per-file fsync) guarantees.
-			if werr := s.clog.Sync(); werr != nil {
-				s.logf("serve: tenant %s: syncing drain checkpoint: %v", id, werr)
-			}
 		}
 		encodeResult(enc, msgDrain, res)
 	case msgSnapshot:

@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -17,23 +19,22 @@ func logTestConfig(dir string) Config {
 	return Config{
 		CheckpointDir:      dir,
 		CheckpointEvery:    1,
-		CkptMode:           "log",
 		CkptCommitInterval: time.Millisecond,
 		CkptSegmentBytes:   4 << 10,
 	}
 }
 
-// TestCloseTenantLogTombstone pins the log-mode half of the
-// CloseTenant durability contract (the files-mode half lives in
-// TestCloseTenantCheckpointRace): a closed tenant's records may remain
-// in the shared segments, but its tombstone must shadow them — across
-// rapid open/submit/close cycles racing the shard worker's appends, a
-// restart over the directory recovers zero tenants. CheckpointEvery 1
-// keeps a worker appending checkpoints while each close lands, which is
-// exactly the race the in-append tombstone check guards.
+// TestCloseTenantLogTombstone pins the CloseTenant durability
+// contract: once CloseTenant returns, the tenant's metadata file is
+// gone, and while its records may remain in the shared segments, its
+// tombstone must shadow them — across rapid open/submit/close cycles
+// racing the shard worker's appends, a restart over the directory
+// recovers zero tenants. CheckpointEvery 1 keeps a worker appending
+// checkpoints while each close lands, which is exactly the race the
+// tombstone ordering guards.
 func TestCloseTenantLogTombstone(t *testing.T) {
 	dir := t.TempDir()
-	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1, CkptMode: "log"})
+	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1})
 	c := dialTest(t, s)
 	tc := TenantConfig{Policy: "edf", N: 2, Delta: 2, Delays: []int{8, 8}}
 	tick := sched.Request{{Color: 0, Count: 1}}
@@ -57,14 +58,16 @@ func TestCloseTenantLogTombstone(t *testing.T) {
 		if _, err := c.CloseTenant(id); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := os.Stat(filepath.Join(dir, id+".meta")); !os.IsNotExist(err) {
+			t.Fatalf("%s.meta survives CloseTenant (stat err %v)", id, err)
+		}
 	}
-	// Give any straggling shard-worker checkpoint time to lose the race
-	// with the tombstones before the restart inspects the log.
-	time.Sleep(50 * time.Millisecond)
+	// Shutdown joins the shard workers before it closes the log, so a
+	// straggling checkpoint has already lost the race to the tombstones.
 	if err := s.Shutdown(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := startServer(t, Config{CheckpointDir: dir, CkptMode: "log"})
+	s2 := startServer(t, Config{CheckpointDir: dir})
 	if n := s2.NumTenants(); n != 0 {
 		t.Fatalf("restart over closed tenants recovered %d tenants, want 0", n)
 	}
@@ -307,5 +310,25 @@ func TestServeAdaptivePacing(t *testing.T) {
 	res2, err := c2.Result("pace")
 	if err != nil || !resultsEqual(ref, res2) {
 		t.Fatalf("recovered result = (%+v, %v), want the drained result", res2, err)
+	}
+}
+
+// TestDrainAckIsDurable pins that an acknowledged drain is durable:
+// when the drain's final checkpoint cannot be appended to the log or
+// synced, DrainTenant answers codeInternal instead of a Result.
+func TestDrainAckIsDurable(t *testing.T) {
+	inst := testInstance(t, 8, 0)
+	s := startServer(t, Config{CheckpointDir: t.TempDir()})
+	c := dialTest(t, s)
+	if _, _, err := c.Open("d", tcFor(inst)); err != nil {
+		t.Fatal(err)
+	}
+	feed(t, c, "d", inst, 0)
+	if err := s.clog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var re *RemoteError
+	if res, err := c.DrainTenant("d"); !errors.As(err, &re) || re.Code != codeInternal {
+		t.Fatalf("drain over a closed checkpoint log = (%v, %v), want codeInternal", res, err)
 	}
 }

@@ -178,9 +178,18 @@ func TestServerRejections(t *testing.T) {
 	if _, _, err := c.Open("a", badCfg); !errors.As(err, &re) || re.Code != codeBadRequest {
 		t.Fatalf("open bad config = %v", err)
 	}
+	heavy := tc
+	heavy.Weight = maxTenantWeight + 1
+	if _, _, err := c.Open("a", heavy); !errors.As(err, &re) || re.Code != codeBadRequest {
+		t.Fatalf("open oversized weight = %v", err)
+	}
 
 	if _, _, err := c.Open("a", tc); err != nil {
 		t.Fatal(err)
+	}
+	// An open without a weight runs at the default weight 1.
+	if rows, err := c.Stats("a"); err != nil || len(rows) != 1 || rows[0].Weight != 1 || rows[0].MinDelay <= 0 {
+		t.Fatalf("stats of a default-weight tenant = (%+v, %v)", rows, err)
 	}
 	// Out-of-sequence submits carry the resume point both ways.
 	var bs *BadSeqError
@@ -518,68 +527,6 @@ func TestCloseTenantSubmitRace(t *testing.T) {
 			t.Fatalf("iteration %d: %d jobs acknowledged but final result accounts for %d (executed %d, dropped %d)",
 				iter, n, got, res.Executed, res.Dropped)
 		}
-	}
-}
-
-// TestCloseTenantCheckpointRace pins the durable-file contract of
-// CloseTenant against the shard worker's checkpoint writes: once
-// CloseTenant returns, the tenant's files are gone and stay gone. The
-// old removal ran outside ckptMu, so a worker holding a snapshot blob
-// taken just before the close could recreate the files afterwards — and
-// a restart would then resurrect a closed tenant.
-func TestCloseTenantCheckpointRace(t *testing.T) {
-	dir := t.TempDir()
-	// Files mode: the assertion below is that the directory ends empty,
-	// which only the per-tenant-file backend promises (the log backend
-	// legitimately leaves segment files; its tombstone contract is
-	// pinned by TestCloseTenantLogTombstone).
-	s := startServer(t, Config{CheckpointDir: dir, CheckpointEvery: 1, CkptMode: "files"})
-	c := dialTest(t, s)
-	tc := TenantConfig{Policy: "edf", N: 2, Delta: 2, Delays: []int{8, 8}}
-	tick := sched.Request{{Color: 0, Count: 1}}
-
-	ids := make([]string, 40)
-	for iter := range ids {
-		id := fmt.Sprintf("ck-%02d", iter)
-		ids[iter] = id
-		if _, _, err := c.Open(id, tc); err != nil {
-			t.Fatal(err)
-		}
-		// Every applied round is checkpoint-due (CheckpointEvery 1), so
-		// the shard worker is writing while we close.
-		for seq := 0; seq < 8; {
-			_, _, err := c.Submit(id, seq, tick)
-			switch {
-			case err == nil:
-				seq++
-			case errors.Is(err, ErrOverloaded):
-				time.Sleep(50 * time.Microsecond)
-			default:
-				t.Fatal(err)
-			}
-		}
-		if _, err := c.CloseTenant(id); err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range []string{id + ".ckpt", id + ".meta"} {
-			if _, err := os.Stat(filepath.Join(dir, f)); !os.IsNotExist(err) {
-				t.Fatalf("%s survives CloseTenant (stat err %v)", f, err)
-			}
-		}
-	}
-	// Give any straggling checkpoint writer time to lose the race, then
-	// require the files to have stayed gone — the tombstone's job.
-	time.Sleep(50 * time.Millisecond)
-	left, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(left) != 0 {
-		names := make([]string, len(left))
-		for i, e := range left {
-			names[i] = e.Name()
-		}
-		t.Fatalf("closed tenants resurrected durable files: %v", names)
 	}
 }
 

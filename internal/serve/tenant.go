@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"sync"
 	"time"
 
@@ -12,21 +11,18 @@ import (
 	"repro/internal/ckptlog"
 	"repro/internal/sched"
 	"repro/internal/snap"
-	"repro/internal/trace"
 )
 
 // tenant is one hosted stream: the live sched.Stream, its bounded
 // ingest queue of admitted-but-unapplied round ticks, and the
-// admission-control counters. All mutable state is guarded by mu; the
-// checkpoint file is additionally serialized by ckptMu so the write and
-// fsync happen outside the stream lock.
+// admission-control counters. All mutable state is guarded by mu.
 type tenant struct {
 	id      string
-	spec    string             // policy spec the tenant was opened with
-	polName string             // the policy's display Name, for stats
-	cfg     sched.StreamConfig // normalized (Speed ≥ 1); Probe is sink
-	qcap    int
-	weight  int // provisioned service weight (≥ 1), immutable after open
+	polName string // the policy's display Name, for stats
+	// conf is the configuration the tenant was opened with, normalized
+	// by checkRequest (Speed, QueueCap and Weight ≥ 1) and immutable: it
+	// is what the metadata file records and a release hands on.
+	conf TenantConfig
 	// minDelay is the tightest delay bound in the tenant's menu; the
 	// tenant's delay factor is queued/minDelay (see TenantLoad).
 	minDelay int
@@ -46,9 +42,10 @@ type tenant struct {
 	// into the BDR budget accounting at pass end.
 	passApplied int
 
-	mu     sync.Mutex
-	st     *sched.Stream
-	sink   *sched.MetricsSink
+	mu sync.Mutex
+	st *sched.Stream
+	// probe is the stream's Probe; stats reads its MaxPending.
+	probe  sched.CounterSink
 	queue  []sched.Request // admitted round ticks; live entries are queue[head:]
 	head   int
 	closed bool
@@ -72,25 +69,24 @@ type tenant struct {
 	overloads   int64
 	badSeqs     int64
 	checkpoints int64
-	lastCkpt    int // round of the last snapshot taken
+	lastCkpt    int // round of the newest checkpoint in the log
 
-	ckptPath, metaPath string // "" = files-mode durability off
-
-	// clog, when non-nil, selects the group-commit log backend
-	// (internal/ckptlog): checkpoints are appended to the shard-shared
-	// segment log under mu+ckptMu instead of written to a per-tenant
-	// file, and the log's committer batches the fsyncs. dura counts the
-	// files-mode writes when clog is nil. logf receives checkpoint-path
-	// diagnostics (never nil after newTenantState).
-	clog *ckptlog.Log
-	dura *duraCounters
-	logf func(format string, args ...any)
+	// clog is the server's group-commit checkpoint log (internal/ckptlog)
+	// and metaPath the tenant's metadata file; both unset when
+	// durability is off. Checkpoints are appended under mu, and the
+	// log's committer batches the fsyncs. removed marks a tenant whose
+	// durable state was deleted: no checkpoint may be appended after its
+	// tombstone. logf receives checkpoint-path diagnostics (set together
+	// with clog).
+	clog     *ckptlog.Log
+	metaPath string
+	removed  bool
+	logf     func(format string, args ...any)
 
 	// Pooled snapshot-path buffers, guarded by mu. snapBuf holds the
 	// latest full snapshot (reused every checkpoint), deltaBase the full
 	// snapshot the current delta chain is computed against, deltaBuf the
-	// delta scratch — so a steady-state log-mode checkpoint allocates
-	// nothing.
+	// delta scratch — so a steady-state checkpoint allocates nothing.
 	snapBuf        []byte
 	deltaBase      []byte
 	deltaBuf       []byte
@@ -106,10 +102,6 @@ type tenant struct {
 	paceMin, paceMax int
 	snapNs, applyNs  float64 // EWMA, α=0.3; 0 = no measurement yet
 	paceNext         int     // next checkpoint round; 0 = bootstrap
-
-	ckptMu       sync.Mutex
-	writtenRound int  // round of the newest checkpoint on disk
-	removed      bool // durable files deleted; never write them again
 }
 
 // deltaEveryFull is the delta-chain length bound: after this many
@@ -178,7 +170,7 @@ func (t *tenant) submitLocked(seq int, arrivals sched.Request, draining bool) *e
 		t.badSeqs++
 		return &errResp{Code: codeBadSeq, Expected: expect, Msg: fmt.Sprintf("bad round sequence %d, expected %d", seq, expect)}
 	}
-	if t.queuedLocked() >= t.qcap {
+	if t.queuedLocked() >= t.conf.QueueCap {
 		t.overloads++
 		return &errResp{Code: codeOverloaded, Msg: "tenant queue full"}
 	}
@@ -186,7 +178,7 @@ func (t *tenant) submitLocked(seq int, arrivals sched.Request, draining bool) *e
 	// the queue keeps its own copy. Compact the ring before it can grow
 	// past twice the cap: live entries are bounded by cap, so memory
 	// stays bounded no matter how long the tenant lives.
-	if t.head > 0 && len(t.queue) >= 2*t.qcap {
+	if t.head > 0 && len(t.queue) >= 2*t.conf.QueueCap {
 		n := copy(t.queue, t.queue[t.head:])
 		for i := n; i < len(t.queue); i++ {
 			t.queue[i] = nil
@@ -233,7 +225,7 @@ func (t *tenant) load() (TenantLoad, bool) {
 	return TenantLoad{
 		Queued:   q,
 		MinDelay: max(t.minDelay, 1),
-		Weight:   max(t.weight, 1),
+		Weight:   t.conf.Weight,
 		Deficit:  t.deficit,
 	}, true
 }
@@ -310,56 +302,17 @@ func (t *tenant) applyQueuedLocked(max int) (applied int) {
 	return applied
 }
 
-// applyQueued applies up to max queued round ticks and decides whether
-// a periodic checkpoint is due. When one is, it returns the snapshot
-// blob and its round — taking the (in-memory) snapshot under the lock
-// and leaving the file write to the caller via writeCheckpoint.
-func (t *tenant) applyQueued(max, every int) (applied int, blob []byte, round int) {
+// applyQueued applies up to max queued round ticks and appends a
+// periodic checkpoint when one is due. A failed append is logged, not
+// fatal: the checkpoint stays due and the next pass retries it.
+func (t *tenant) applyQueued(max, every int) (applied int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	applied = t.applyQueuedLocked(max)
-	blob, round = t.maybeSnapshotLocked(every, false)
-	return applied, blob, round
-}
-
-// maybeSnapshotLocked snapshots the stream when a checkpoint is due
-// (or, with force, whenever durability is on and the stream has moved
-// since the last snapshot). Callers hold mu.
-//
-// In files mode the blob is returned for the caller to persist outside
-// the stream lock via writeCheckpoint (the write pays an fsync). In
-// log mode the record is appended to the group-commit log right here —
-// an append is a buffered copy, durability is the committer's batched
-// fsync — and (nil, 0) is returned; creation order and append order
-// coincide by construction, which is what keeps the per-tenant delta
-// chains valid without any cross-goroutine ordering protocol.
-func (t *tenant) maybeSnapshotLocked(every int, force bool) (blob []byte, round int) {
-	if (t.ckptPath == "" && t.clog == nil) || t.failed != nil {
-		return nil, 0
+	if err := t.checkpointLocked(every, false); err != nil {
+		t.logf("%v", err)
 	}
-	r := t.st.Round()
-	if force {
-		if r == t.lastCkpt {
-			return nil, 0
-		}
-	} else if !t.ckptDueLocked(every, r) {
-		return nil, 0
-	}
-	if t.clog != nil {
-		t.logCheckpointLocked(r)
-		return nil, 0
-	}
-	b, err := t.st.Snapshot()
-	if err != nil {
-		t.failed = fmt.Errorf("serve: tenant %s: snapshot at round %d: %w", t.id, r, err)
-		return nil, 0
-	}
-	t.lastCkpt = r
-	t.checkpoints++
-	if t.adaptive {
-		t.paceNext = r + t.nextPaceLocked()
-	}
-	return b, r
+	return applied
 }
 
 // ckptDueLocked decides whether a periodic checkpoint is due at round
@@ -367,9 +320,6 @@ func (t *tenant) maybeSnapshotLocked(every int, force bool) (blob []byte, round 
 // (CheckpointEvery); with it on, the round the pacer picked after the
 // previous checkpoint. Callers hold mu.
 func (t *tenant) ckptDueLocked(every, r int) bool {
-	if r == t.lastCkpt {
-		return false
-	}
 	if t.adaptive {
 		if t.paceNext <= 0 {
 			return true // bootstrap: take one checkpoint to measure against
@@ -390,17 +340,29 @@ func (t *tenant) nextPaceLocked() int {
 	iv := t.paceMax
 	if t.snapNs > 0 && t.applyNs > 0 {
 		cost := t.snapNs / t.applyNs // snapshot cost in units of rounds
-		iv = int(math.Sqrt(2 * cost / float64(max(t.weight, 1))))
+		iv = int(math.Sqrt(2 * cost / float64(t.conf.Weight)))
 	}
 	return min(max(iv, max(t.paceMin, 1)), max(t.paceMax, 1))
 }
 
-// logCheckpointLocked takes one checkpoint into the group-commit log:
-// a delta against the retained base when the chain is short and the
-// delta pays for itself, a fresh full snapshot (restarting the chain)
-// otherwise. Buffers are pooled; the steady state allocates nothing.
-// Callers hold mu.
-func (t *tenant) logCheckpointLocked(r int) {
+// checkpointLocked appends a checkpoint to the group-commit log when
+// one is due (with force, whenever the stream has moved since the last
+// one) and reports a snapshot or append failure. The record is a delta
+// against the retained base when the chain is short and the delta pays
+// for itself, a fresh full snapshot (restarting the chain) otherwise.
+// Buffers are pooled; the steady state allocates nothing. Callers hold
+// mu: an append is a buffered copy — durability is the committer's
+// batched fsync — and appending under the stream lock makes creation
+// order and append order coincide, which keeps the per-tenant delta
+// chains valid without any cross-goroutine ordering protocol.
+func (t *tenant) checkpointLocked(every int, force bool) error {
+	if t.clog == nil || t.removed || t.failed != nil {
+		return nil
+	}
+	r := t.st.Round()
+	if r == t.lastCkpt || !force && !t.ckptDueLocked(every, r) {
+		return nil
+	}
 	var start time.Time
 	if t.adaptive {
 		start = time.Now()
@@ -408,7 +370,7 @@ func (t *tenant) logCheckpointLocked(r int) {
 	cur, err := t.st.AppendSnapshot(t.snapBuf[:0])
 	if err != nil {
 		t.failed = fmt.Errorf("serve: tenant %s: snapshot at round %d: %w", t.id, r, err)
-		return
+		return t.failed
 	}
 	t.snapBuf = cur
 	kind, base, rec := ckptlog.KindFull, 0, cur
@@ -422,22 +384,9 @@ func (t *tenant) logCheckpointLocked(r int) {
 	if t.adaptive {
 		t.snapNs = ewma(t.snapNs, float64(time.Since(start).Nanoseconds()))
 	}
-	// The tombstone check guards the log-append path exactly as it
-	// guards files-mode writes: a released or closed tenant must not
-	// resurrect records into the shared log (see removeFiles).
-	appended := false
-	t.ckptMu.Lock()
-	if !t.removed && r > t.writtenRound {
-		if err := t.clog.Append(t.id, kind, r, base, rec); err != nil {
-			t.logf("serve: tenant %s: checkpoint log append at round %d: %v", t.id, r, err)
-		} else {
-			t.writtenRound = r
-			appended = true
-		}
-	}
-	t.ckptMu.Unlock()
-	if !appended {
-		return // removed, stale, or failed: leave the chain untouched and retry later
+	if err := t.clog.Append(t.id, kind, r, base, rec); err != nil {
+		// Leave the chain untouched: the checkpoint stays due.
+		return fmt.Errorf("serve: tenant %s: checkpoint log append at round %d: %w", t.id, r, err)
 	}
 	if kind == ckptlog.KindFull {
 		t.deltaBase = append(t.deltaBase[:0], cur...)
@@ -451,98 +400,106 @@ func (t *tenant) logCheckpointLocked(r int) {
 	if t.adaptive {
 		t.paceNext = r + t.nextPaceLocked()
 	}
-}
-
-// writeCheckpoint persists a snapshot blob taken by applyQueued, flush
-// or drainStream. It runs outside the stream lock; ckptMu orders
-// concurrent writers (shard worker vs. drain handler) and the round
-// check drops a stale blob that lost the race.
-func (t *tenant) writeCheckpoint(blob []byte, round int) error {
-	t.ckptMu.Lock()
-	defer t.ckptMu.Unlock()
-	// A closed tenant's files are tombstoned: a shard worker that took a
-	// snapshot just before the tenant was removed must not resurrect
-	// durable files a restart would then recover.
-	if t.removed || round <= t.writtenRound {
-		return nil
-	}
-	if err := trace.SaveCheckpointState(t.ckptPath, blob); err != nil {
-		return fmt.Errorf("serve: tenant %s: writing checkpoint: %w", t.id, err)
-	}
-	t.writtenRound = round
-	if t.dura != nil {
-		t.dura.appends.Add(1)
-		t.dura.bytes.Add(int64(len(blob)))
-		t.dura.fsyncs.Add(1) // SaveCheckpointState fsyncs each write
-	}
 	return nil
 }
 
-// removeFiles deletes the tenant's durable files and tombstones the
-// checkpoint path so no in-flight writeCheckpoint can recreate them.
-// Holding ckptMu across the removal orders it against a concurrent
-// writer: whichever side wins the lock, the files end (and stay) gone.
+// removeFiles deletes the tenant's durable state. Marking the tenant
+// removed under mu orders it against checkpointLocked: every earlier
+// checkpoint is already in the log and none can follow, so the
+// tombstone appended next shadows them all and a restart cannot
+// resurrect the tenant. The tombstone is synced immediately because
+// removal is acknowledged to the client. Best-effort: on error the meta
+// file is already gone, so recovery skips the tenant anyway.
 func (t *tenant) removeFiles() {
-	if t.ckptPath == "" && t.clog == nil {
+	if t.clog == nil {
 		return
 	}
-	t.ckptMu.Lock()
-	defer t.ckptMu.Unlock()
+	t.mu.Lock()
 	t.removed = true
+	t.mu.Unlock()
 	os.Remove(t.metaPath)
-	if t.clog != nil {
-		// The tombstone shadows every earlier record for this id so a
-		// restart cannot resurrect the tenant; it is synced immediately
-		// because removal is acknowledged to the client. Best-effort: on
-		// error the meta file is already gone, so recovery skips the
-		// tenant anyway.
-		if err := t.clog.AppendTombstone(t.id); err != nil {
-			t.logf("serve: tenant %s: checkpoint log tombstone: %v", t.id, err)
-		} else if err := t.clog.Sync(); err != nil {
-			t.logf("serve: tenant %s: checkpoint log sync: %v", t.id, err)
+	if err := t.clog.AppendTombstone(t.id); err != nil {
+		t.logf("serve: tenant %s: checkpoint log tombstone: %v", t.id, err)
+	} else if err := t.clog.Sync(); err != nil {
+		t.logf("serve: tenant %s: checkpoint log sync: %v", t.id, err)
+	}
+}
+
+// persist writes the tenant's metadata file and, for a restore, logs
+// the released blob as its first checkpoint, so a crash right after the
+// route flip recovers at the restored round, not at zero. A full record
+// also shadows any tombstone an earlier release of this id left; it is
+// synced immediately because the route flip follows the restore
+// acknowledgement. A no-op without durability.
+func (t *tenant) persist(blob []byte) error {
+	if t.clog == nil {
+		return nil
+	}
+	if err := writeMeta(t.metaPath, &t.conf); err != nil {
+		return err
+	}
+	round := t.st.Round()
+	if blob == nil || round == 0 {
+		return nil
+	}
+	err := t.clog.Append(t.id, ckptlog.KindFull, round, 0, blob)
+	if err == nil {
+		err = t.clog.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("serve: tenant %s: logging restore checkpoint: %w", t.id, err)
+	}
+	t.lastCkpt = round
+	return nil
+}
+
+// flush applies every queued round tick and appends a final checkpoint
+// — the graceful-shutdown path.
+func (t *tenant) flush() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.applyQueuedLocked(0)
+	return t.checkpointLocked(0, true)
+}
+
+// drain applies the whole queue, then runs empty rounds until no job is
+// pending, all under one lock acquisition so no submit can interleave,
+// and returns the final Result once a checkpoint covering it is durable:
+// an acknowledged drain survives a crash. A failed append or sync is an
+// error, not a Result. Draining an already-drained tenant is a no-op
+// that returns the same Result, so a client retrying a drain whose
+// acknowledgement was lost observes identical results.
+func (t *tenant) drain() (*sched.Result, error) {
+	t.mu.Lock()
+	res, err := t.drainStreamLocked()
+	if err == nil {
+		err = t.checkpointLocked(0, true)
+	}
+	t.mu.Unlock()
+	if err == nil && t.clog != nil {
+		if serr := t.clog.Sync(); serr != nil {
+			err = fmt.Errorf("serve: tenant %s: syncing drain checkpoint: %w", t.id, serr)
 		}
-		return
 	}
-	os.Remove(t.ckptPath)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// flush applies every queued round tick and takes a final snapshot —
-// the graceful-drain path (server shutdown). The returned blob (nil
-// when durability is off or the stream has not moved) must be handed to
-// writeCheckpoint.
-func (t *tenant) flush() (blob []byte, round int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.applyQueuedLocked(0)
-	return t.maybeSnapshotLocked(0, true)
-}
-
-// drainStream applies the whole queue, then runs empty rounds until no
-// job is pending, all under one lock acquisition so no submit can
-// interleave, and returns the final Result plus a fresh final snapshot.
-// Draining an already-drained tenant is a no-op that returns the same
-// Result, so a client retrying a drain whose acknowledgement was lost
-// observes identical results.
-func (t *tenant) drainStream() (*sched.Result, []byte, int, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.drainStreamLocked()
-}
-
-func (t *tenant) drainStreamLocked() (*sched.Result, []byte, int, error) {
+func (t *tenant) drainStreamLocked() (*sched.Result, error) {
 	if t.failed != nil {
-		return nil, nil, 0, t.failed
+		return nil, t.failed
 	}
 	t.applyQueuedLocked(0)
 	if t.failed != nil {
-		return nil, nil, 0, t.failed
+		return nil, t.failed
 	}
 	if _, err := t.st.Drain(); err != nil {
 		t.failed = fmt.Errorf("serve: tenant %s: draining: %w", t.id, err)
-		return nil, nil, 0, t.failed
+		return nil, t.failed
 	}
-	blob, round := t.maybeSnapshotLocked(0, true)
-	return t.st.Result(), blob, round, nil
+	return t.st.Result(), nil
 }
 
 // drainAndClose drains the stream and marks the tenant closed in one
@@ -556,7 +513,7 @@ func (t *tenant) drainStreamLocked() (*sched.Result, []byte, int, error) {
 func (t *tenant) drainAndClose() (*sched.Result, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	res, _, _, err := t.drainStreamLocked()
+	res, err := t.drainStreamLocked()
 	if err != nil {
 		return nil, err
 	}
@@ -587,7 +544,7 @@ func (t *tenant) isReleased() bool {
 // configuration as opened, the resume sequence, and the state blob —
 // everything a restore on the target needs. The caller (server.release)
 // removes the tenant's shard registration and durable files afterwards.
-func (t *tenant) release() (*releaseResp, *errResp) {
+func (t *tenant) release() (*ReleasedTenant, *errResp) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -608,19 +565,7 @@ func (t *tenant) release() (*releaseResp, *errResp) {
 		return nil, &errResp{Code: codeInternal, Msg: t.failed.Error()}
 	}
 	t.released = true
-	return &releaseResp{
-		Policy:   t.spec,
-		N:        t.cfg.N,
-		Speed:    t.cfg.Speed,
-		Delta:    t.cfg.Delta,
-		QueueCap: t.qcap,
-		Delays:   slices.Clone(t.cfg.Delays),
-		Weight:   max(t.weight, 1),
-		NextSeq:  t.st.Round(),
-		Blob:     blob,
-		ResRate:  t.res.Rate,
-		ResDelay: t.res.Delay,
-	}, nil
+	return &ReleasedTenant{Config: t.conf, NextSeq: t.st.Round(), Blob: blob}, nil
 }
 
 // snapshot returns the current state blob (the payload RestoreStream
@@ -647,18 +592,18 @@ func (t *tenant) stats() TenantStats {
 		NextSeq:      t.nextSeqLocked(),
 		Pending:      t.st.TotalPending(),
 		QueueDepth:   t.queuedLocked(),
-		QueueCap:     t.qcap,
+		QueueCap:     t.conf.QueueCap,
 		Executed:     t.st.Executed(),
 		Dropped:      t.st.Dropped(),
 		Reconfigs:    t.st.Reconfigs(),
 		CostReconfig: cost.Reconfig,
 		CostDrop:     cost.Drop,
-		MaxPending:   t.sink.MaxPending,
+		MaxPending:   t.probe.MaxPending,
 		Overloads:    t.overloads,
 		BadSeqs:      t.badSeqs,
 		Checkpoints:  t.checkpoints,
 
-		Weight:         max(t.weight, 1),
+		Weight:         t.conf.Weight,
 		MinDelay:       max(t.minDelay, 1),
 		ServedRounds:   t.served,
 		DelayFactor:    t.delayFactorLocked(),

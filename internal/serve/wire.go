@@ -14,35 +14,36 @@
 // frame is a protocol error: the reader reports it and the connection
 // is closed — never a panic, pinned by FuzzFrameDecode.
 //
-// Protocol version 2 adds two optional shapes on the same framing: a
-// request may be wrapped in a msgTagged envelope (a varint tag echoed
-// on its response, so many requests can be pipelined per connection and
-// acknowledged out of order or coalesced into one flush), and
-// msgSubmitBatch vectors K consecutive round ticks for one tenant into
-// one frame with a per-round admitted-prefix acknowledgement. Version 3
-// adds an optional trailing service weight to the open request and the
-// msgStatsEx command, whose rows extend the legacy stats row with the
-// cross-tenant scheduling fields (weight, delay factor, service share).
-// Version 4 adds the fleet-migration pair: msgRelease hands a tenant's
-// state out of a server (drain the admission queue, snapshot, leave a
-// tombstone) and msgRestore installs a released snapshot on another
-// server, so a router tier (internal/proxy) can move a live tenant
-// between backends without losing a round. Version 5 adds msgDuraStats,
-// a bare request reporting the durability backend's counters (appends,
-// bytes, fsyncs, and the group-commit log's deltas, rotations,
-// compactions and segment count); it is answered by the server a client
-// dialed directly, and since version 6 the proxy tier relays it as a
-// fan-out with per-backend rows. Version 6 adds bounded-delay admission
-// control (docs/SCHEDULING.md "Admission"): the open and restore
-// requests may append an optional (rate, delay) reservation, an
-// infeasible reservation is rejected with a typed admission error
-// carrying the shard's residual capacity, stats-ex rows append the
-// reservation and its budget utilization, and the durability response
-// may append per-backend rows when answered by a proxy. Every v6 field
-// is an optional trailing extension encoded only when present, so
-// version-1 through version-5 peers never see any of them and keep
-// working unchanged: the legacy msgStats request and response are
-// byte-for-byte identical across versions.
+// Every peer speaks the one ProtocolVersion, carried in the open and
+// restore requests; any other version is refused with a typed error.
+// Each message has a fixed field list, so a decoder always consumes the
+// whole body — no field is optional. Besides the per-tenant lifecycle
+// commands (open, submit, result, drain, close, snapshot), the protocol
+// has:
+//
+//   - msgTagged, an envelope carrying a varint tag that the response
+//     echoes, so many requests can be pipelined per connection and
+//     acknowledged out of order or coalesced into one flush;
+//   - msgSubmitBatch, which vectors K consecutive round ticks for one
+//     tenant into one frame with a per-round admitted-prefix
+//     acknowledgement;
+//   - msgStats, whose rows carry each tenant's scheduling totals, the
+//     cross-tenant fields (weight, delay factor, service share) and its
+//     bounded-delay reservation with budget utilization;
+//   - the fleet-migration pair: msgRelease hands a tenant's state out
+//     of a server (drain the admission queue, snapshot, leave a
+//     tombstone) and msgRestore installs it on another, so a router
+//     tier (internal/proxy) can move a live tenant between backends
+//     without losing a round;
+//   - msgDuraStats, which reports the group-commit checkpoint log's
+//     counters, with per-backend rows when a proxy answers it as a
+//     fan-out.
+//
+// Open and restore carry the tenant's service weight and its (rate,
+// delay) reservation for bounded-delay admission control
+// (docs/SCHEDULING.md "Admission"); an infeasible reservation is
+// rejected with a typed admission error carrying the shard's residual
+// capacity.
 //
 // # Rounds, sequence numbers, and exactly-once ingest
 //
@@ -69,23 +70,11 @@ import (
 	"repro/internal/snap"
 )
 
-// ProtocolVersion is carried in every open request. Version 2 added
-// tagged frames (pipelining) and vectored submit batches; version 3
-// added the open request's optional tenant weight and the extended
-// stats command (msgStatsEx); version 4 added the live-migration pair
-// msgRelease/msgRestore used by the proxy tier; version 5 added the
-// msgDuraStats durability-counter probe; version 6 added the optional
-// (rate, delay) reservation on open/restore, the typed admission
-// rejection with residual capacity, the reservation columns on
-// stats-ex rows, and the proxy fan-out rows on the durability
-// response. The server still accepts older peers, which simply never
-// send any of these.
-const ProtocolVersion = 6
-
-// MinProtocolVersion is the oldest version the server still speaks.
-// Version-1 clients use strict request/response with untagged frames;
-// everything they send decodes identically under version 2.
-const MinProtocolVersion = 1
+// ProtocolVersion is carried in every open and restore request. The
+// server speaks exactly this version and refuses any other with
+// codeBadVersion: every message has one fixed shape (see the package
+// comment), so a peer built against another version would misparse it.
+const ProtocolVersion = 7
 
 // MaxBatch bounds the round ticks one submit-batch frame may carry. It
 // keeps a hostile length prefix from forcing a large allocation before
@@ -111,14 +100,14 @@ const (
 	msgErr = iota // response-only
 	msgOpen
 	msgSubmit
-	msgStats
+	_ // 3: retired (the pre-v7 stats command without scheduling fields)
 	msgResult
 	msgDrain
 	msgCloseTenant
 	msgPing
 	msgSnapshot
-	// msgTagged is the protocol-v2 pipelining envelope: a varint request
-	// tag followed by a complete inner message. The response to a tagged
+	// msgTagged is the pipelining envelope: a varint request tag
+	// followed by a complete inner message. The response to a tagged
 	// request is wrapped the same way with the same tag, so a client may
 	// keep many requests in flight and match acknowledgements by tag even
 	// if they return out of order or coalesced into one flush.
@@ -128,42 +117,36 @@ const (
 	// rounds. Admission is per round and strictly sequential, so the
 	// response names the admitted prefix plus the first rejection.
 	msgSubmitBatch
-	// msgStatsEx (protocol v3) shares msgStats' request shape but answers
-	// with extended rows: the legacy fields followed by the cross-tenant
-	// scheduling fields (weight, min delay, served rounds, delay factors,
-	// service share). The legacy msgStats response is left byte-identical
-	// so older clients keep decoding it.
-	msgStatsEx
-	// msgRestore (protocol v4) installs a previously released tenant
-	// snapshot: the open-request fields that describe the tenant's
-	// configuration plus the state blob a msgRelease (or msgSnapshot)
-	// returned. The server validates the blob against the declared
-	// configuration, recreates the tenant at its snapshotted round, and
-	// persists the blob as the tenant's first checkpoint, so a migration
-	// survives a crash immediately after the flip.
+	// msgStats asks for one tenant's stats row, or every tenant's when
+	// the tenant ID is empty (see TenantStats).
+	msgStats
+	// msgRestore installs a previously released tenant snapshot: the
+	// open-request fields that describe the tenant's configuration plus
+	// the state blob a msgRelease (or msgSnapshot) returned. The server
+	// validates the blob against the declared configuration, recreates
+	// the tenant at its snapshotted round, and persists the blob as the
+	// tenant's first checkpoint, so a migration survives a crash
+	// immediately after the flip.
 	msgRestore
-	// msgRelease (protocol v4) is the source half of a migration: the
-	// server applies everything the tenant has queued, snapshots it,
-	// removes its durable state, and replaces the tenant with a released
-	// tombstone that answers every later command with a retryable
-	// draining error. The response carries the tenant's configuration,
-	// resume sequence, and state blob — everything msgRestore needs on
-	// the target.
+	// msgRelease is the source half of a migration: the server applies
+	// everything the tenant has queued, snapshots it, removes its durable
+	// state, and replaces the tenant with a released tombstone that
+	// answers every later command with a retryable draining error. The
+	// response carries the tenant's configuration, resume sequence, and
+	// state blob — everything msgRestore needs on the target.
 	msgRelease
-	// msgDuraStats (protocol v5) is a bare request for the server's
-	// durability counters: the backend mode plus append/byte/fsync
-	// totals, and in log mode the group-commit log's delta, rotation,
-	// compaction and live-segment counts. Since protocol v6 the proxy
-	// tier relays it as a fan-out: the merged response sums every live
-	// backend's counters and appends one labelled row per backend.
+	// msgDuraStats is a bare request for the server's durability
+	// counters: the mode plus the group-commit log's append, byte, fsync,
+	// delta, rotation, compaction and live-segment counts. The proxy tier
+	// relays it as a fan-out: the merged response sums every live
+	// backend's counters and adds one labelled row per backend.
 	msgDuraStats
 )
 
-// DuraStats reports the durability backend's cumulative counters.
-// Mode is "log", "files", or "off" (no CheckpointDir). In files mode
-// every append pays its own fsync, so Appends == Fsyncs and the
-// log-only fields stay zero; in log mode Fsyncs counts group commits,
-// which is the number the batching exists to shrink.
+// DuraStats reports the group-commit checkpoint log's cumulative
+// counters. Mode is "log", or "off" (no CheckpointDir, all counters
+// zero). Fsyncs counts group commits, which is the number the batching
+// exists to shrink.
 type DuraStats struct {
 	Mode        string
 	Appends     int64
@@ -173,13 +156,11 @@ type DuraStats struct {
 	Rotations   int64
 	Compactions int64
 	Segments    int64
-	// Backends carries the per-backend rows of a proxy fan-out
-	// (protocol v6): when a DuraStats request is answered by the proxy
-	// tier, the top-level counters are the fleet-wide sums (Mode is
-	// "mixed" when the backends disagree) and each row names one
-	// backend's address with its own counters. A server answering a
-	// direct dial leaves it empty, which is also what pre-v6 responses
-	// decode to — the field is an optional trailing extension.
+	// Backends carries the per-backend rows of a proxy fan-out: when a
+	// DuraStats request is answered by the proxy tier, the top-level
+	// counters are the fleet-wide sums (Mode is "mixed" when the
+	// backends disagree) and each row names one backend's address with
+	// its own counters. A server answering a direct dial leaves it empty.
 	Backends []BackendDuraStats
 }
 
@@ -195,6 +176,15 @@ type BackendDuraStats struct {
 
 func (s *DuraStats) encode(e *snap.Encoder) {
 	e.Uint64(msgDuraStats)
+	s.encodeCounters(e)
+	e.Int(len(s.Backends))
+	for i := range s.Backends {
+		e.String(s.Backends[i].Addr)
+		s.Backends[i].encodeCounters(e)
+	}
+}
+
+func (s *DuraStats) encodeCounters(e *snap.Encoder) {
 	e.String(s.Mode)
 	e.Int64(s.Appends)
 	e.Int64(s.Bytes)
@@ -203,26 +193,28 @@ func (s *DuraStats) encode(e *snap.Encoder) {
 	e.Int64(s.Rotations)
 	e.Int64(s.Compactions)
 	e.Int64(s.Segments)
-	// Optional trailing per-backend rows (protocol v6): a direct-dial
-	// response omits them entirely, staying byte-identical to v5.
-	if len(s.Backends) > 0 {
-		e.Int(len(s.Backends))
-		for i := range s.Backends {
-			b := &s.Backends[i]
-			e.String(b.Addr)
-			e.String(b.Mode)
-			e.Int64(b.Appends)
-			e.Int64(b.Bytes)
-			e.Int64(b.Fsyncs)
-			e.Int64(b.Deltas)
-			e.Int64(b.Rotations)
-			e.Int64(b.Compactions)
-			e.Int64(b.Segments)
-		}
-	}
 }
 
 func (s *DuraStats) decode(d *snap.Decoder) {
+	s.decodeCounters(d)
+	s.Backends = nil
+	n := d.Len()
+	if d.Err() != nil || n == 0 {
+		return
+	}
+	s.Backends = make([]BackendDuraStats, 0, min(n, 4096))
+	for i := 0; i < n; i++ {
+		var b BackendDuraStats
+		b.Addr = d.String()
+		b.decodeCounters(d)
+		if d.Err() != nil {
+			return
+		}
+		s.Backends = append(s.Backends, b)
+	}
+}
+
+func (s *DuraStats) decodeCounters(d *snap.Decoder) {
 	s.Mode = d.String()
 	s.Appends = d.Int64()
 	s.Bytes = d.Int64()
@@ -231,30 +223,6 @@ func (s *DuraStats) decode(d *snap.Decoder) {
 	s.Rotations = d.Int64()
 	s.Compactions = d.Int64()
 	s.Segments = d.Int64()
-	s.Backends = nil
-	if d.Err() == nil && d.Remaining() > 0 {
-		n := d.Len()
-		if d.Err() != nil {
-			return
-		}
-		s.Backends = make([]BackendDuraStats, 0, min(n, 4096))
-		for i := 0; i < n; i++ {
-			var b BackendDuraStats
-			b.Addr = d.String()
-			b.Mode = d.String()
-			b.Appends = d.Int64()
-			b.Bytes = d.Int64()
-			b.Fsyncs = d.Int64()
-			b.Deltas = d.Int64()
-			b.Rotations = d.Int64()
-			b.Compactions = d.Int64()
-			b.Segments = d.Int64()
-			if d.Err() != nil {
-				return
-			}
-			s.Backends = append(s.Backends, b)
-		}
-	}
 }
 
 // writeFrame sends one length-prefixed frame.
@@ -298,62 +266,49 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 // openMsg asks the server to create a tenant, or to re-attach to an
 // existing one with a matching configuration.
 type openMsg struct {
-	Version  int
-	Tenant   string
-	Policy   string
-	N        int
-	Speed    int
-	Delta    int
-	QueueCap int
-	Delays   []int
-	// Weight is the tenant's cross-tenant service weight (protocol v3,
-	// encoded as an optional trailing field: older peers simply end the
-	// message before it, which decodes as 0 and is normalized to 1).
-	Weight int
-	// ResRate/ResDelay are the tenant's BDR reservation (protocol v6,
-	// optional trailing pair after Weight; encoded only when ResRate is
-	// positive, so an unreserved v6 open stays byte-identical to v5).
-	// A positive rate asks the server to admit the tenant iff the
-	// shard's supply-bound-function check passes; see docs/SCHEDULING.md.
-	ResRate  float64
-	ResDelay float64
+	Version int
+	Tenant  string
+	TenantConfig
 }
 
 func (m *openMsg) encode(e *snap.Encoder) {
 	e.Uint64(msgOpen)
 	e.Int(m.Version)
 	e.String(m.Tenant)
-	e.String(m.Policy)
-	e.Int(m.N)
-	e.Int(m.Speed)
-	e.Int(m.Delta)
-	e.Int(m.QueueCap)
-	e.Ints(m.Delays)
-	e.Int(m.Weight)
-	if m.ResRate > 0 {
-		e.Float64(m.ResRate)
-		e.Float64(m.ResDelay)
-	}
+	m.TenantConfig.encode(e)
 }
 
 func (m *openMsg) decode(d *snap.Decoder) {
 	m.Version = d.Int()
 	m.Tenant = d.String()
-	m.Policy = d.String()
-	m.N = d.Int()
-	m.Speed = d.Int()
-	m.Delta = d.Int()
-	m.QueueCap = d.Int()
-	m.Delays = d.Ints()
-	m.Weight = 0
-	if d.Err() == nil && d.Remaining() > 0 {
-		m.Weight = d.Int()
-	}
-	m.ResRate, m.ResDelay = 0, 0
-	if d.Err() == nil && d.Remaining() > 0 {
-		m.ResRate = d.Float64()
-		m.ResDelay = d.Float64()
-	}
+	m.TenantConfig.decode(d)
+}
+
+// encode writes a tenant configuration: the body shared by the open and
+// restore requests, the release response, and the durable tenant
+// metadata file (whose format fixes the field order).
+func (tc *TenantConfig) encode(e *snap.Encoder) {
+	e.String(tc.Policy)
+	e.Int(tc.QueueCap)
+	e.Int(tc.N)
+	e.Int(tc.Speed)
+	e.Int(tc.Delta)
+	e.Ints(tc.Delays)
+	e.Int(tc.Weight)
+	e.Float64(tc.ResRate)
+	e.Float64(tc.ResDelay)
+}
+
+func (tc *TenantConfig) decode(d *snap.Decoder) {
+	tc.Policy = d.String()
+	tc.QueueCap = d.Int()
+	tc.N = d.Int()
+	tc.Speed = d.Int()
+	tc.Delta = d.Int()
+	tc.Delays = d.Ints()
+	tc.Weight = d.Int()
+	tc.ResRate = d.Float64()
+	tc.ResDelay = d.Float64()
 }
 
 // openResp acknowledges an open: NextSeq is the sequence number the
@@ -520,63 +475,32 @@ func (m *batchResp) decode(d *snap.Decoder) {
 }
 
 // restoreMsg installs a released tenant snapshot on this server: the
-// open-request configuration fields plus the state blob a release (or
-// snapshot) returned. The declared configuration must match the one
-// embedded in the blob — a mismatch proves operator error and is
-// rejected before any state is created.
+// open-request fields plus the state blob a release (or snapshot)
+// returned. The declared configuration must match the one embedded in
+// the blob — a mismatch proves operator error and is rejected before
+// any state is created. The target re-runs admission for the declared
+// reservation against its own shard capacity, so a migration can never
+// overcommit it.
 type restoreMsg struct {
-	Version  int
-	Tenant   string
-	Policy   string
-	N        int
-	Speed    int
-	Delta    int
-	QueueCap int
-	Delays   []int
-	Weight   int
-	Blob     []byte
-	// ResRate/ResDelay carry the migrating tenant's BDR reservation
-	// (protocol v6, optional trailing pair after the blob; encoded only
-	// when ResRate is positive). The target re-runs admission against
-	// its own shard capacity, so a migration can never overcommit it.
-	ResRate  float64
-	ResDelay float64
+	Version int
+	Tenant  string
+	TenantConfig
+	Blob []byte
 }
 
 func (m *restoreMsg) encode(e *snap.Encoder) {
 	e.Uint64(msgRestore)
 	e.Int(m.Version)
 	e.String(m.Tenant)
-	e.String(m.Policy)
-	e.Int(m.N)
-	e.Int(m.Speed)
-	e.Int(m.Delta)
-	e.Int(m.QueueCap)
-	e.Ints(m.Delays)
-	e.Int(m.Weight)
+	m.TenantConfig.encode(e)
 	e.Blob(m.Blob)
-	if m.ResRate > 0 {
-		e.Float64(m.ResRate)
-		e.Float64(m.ResDelay)
-	}
 }
 
 func (m *restoreMsg) decode(d *snap.Decoder) {
 	m.Version = d.Int()
 	m.Tenant = d.String()
-	m.Policy = d.String()
-	m.N = d.Int()
-	m.Speed = d.Int()
-	m.Delta = d.Int()
-	m.QueueCap = d.Int()
-	m.Delays = d.Ints()
-	m.Weight = d.Int()
+	m.TenantConfig.decode(d)
 	m.Blob = d.Blob()
-	m.ResRate, m.ResDelay = 0, 0
-	if d.Err() == nil && d.Remaining() > 0 {
-		m.ResRate = d.Float64()
-		m.ResDelay = d.Float64()
-	}
 }
 
 // restoreResp acknowledges a restore: NextSeq is the sequence number
@@ -594,60 +518,17 @@ func (m *restoreResp) decode(d *snap.Decoder) {
 	m.NextSeq = d.Int()
 }
 
-// releaseResp carries everything a restore on the migration target
-// needs: the tenant's configuration as opened, the resume sequence
-// (rounds applied — the released queue is always flushed first, so no
-// queued rounds are in flight), and the state blob.
-type releaseResp struct {
-	Policy   string
-	N        int
-	Speed    int
-	Delta    int
-	QueueCap int
-	Delays   []int
-	Weight   int
-	NextSeq  int
-	Blob     []byte
-	// ResRate/ResDelay hand the released tenant's BDR reservation to
-	// the migration target (protocol v6, optional trailing pair after
-	// the blob; encoded only when ResRate is positive), so the restore
-	// request can re-declare it for admission there.
-	ResRate  float64
-	ResDelay float64
-}
-
-func (m *releaseResp) encode(e *snap.Encoder) {
+func (r *ReleasedTenant) encode(e *snap.Encoder) {
 	e.Uint64(msgRelease)
-	e.String(m.Policy)
-	e.Int(m.N)
-	e.Int(m.Speed)
-	e.Int(m.Delta)
-	e.Int(m.QueueCap)
-	e.Ints(m.Delays)
-	e.Int(m.Weight)
-	e.Int(m.NextSeq)
-	e.Blob(m.Blob)
-	if m.ResRate > 0 {
-		e.Float64(m.ResRate)
-		e.Float64(m.ResDelay)
-	}
+	r.Config.encode(e)
+	e.Int(r.NextSeq)
+	e.Blob(r.Blob)
 }
 
-func (m *releaseResp) decode(d *snap.Decoder) {
-	m.Policy = d.String()
-	m.N = d.Int()
-	m.Speed = d.Int()
-	m.Delta = d.Int()
-	m.QueueCap = d.Int()
-	m.Delays = d.Ints()
-	m.Weight = d.Int()
-	m.NextSeq = d.Int()
-	m.Blob = d.Blob()
-	m.ResRate, m.ResDelay = 0, 0
-	if d.Err() == nil && d.Remaining() > 0 {
-		m.ResRate = d.Float64()
-		m.ResDelay = d.Float64()
-	}
+func (r *ReleasedTenant) decode(d *snap.Decoder) {
+	r.Config.decode(d)
+	r.NextSeq = d.Int()
+	r.Blob = d.Blob()
 }
 
 // tenantMsg is the shape shared by the single-tenant commands (stats,
@@ -669,7 +550,7 @@ func (m *tenantMsg) decode(d *snap.Decoder) {
 
 // TenantStats is one tenant's row of the stats command: scheduling
 // totals from the live stream, admission-control counters, and the
-// MetricsSink's backlog high-water mark.
+// stream's backlog high-water mark.
 type TenantStats struct {
 	// ID and Policy identify the tenant and its policy (Policy is the
 	// policy's Name, not the spec it was opened with).
@@ -691,15 +572,14 @@ type TenantStats struct {
 	Reconfigs    int   `json:"reconfigs"`
 	CostReconfig int64 `json:"cost_reconfig"`
 	CostDrop     int64 `json:"cost_drop"`
-	// MaxPending is the deepest end-of-round backlog the MetricsSink saw
-	// (since this process started — sinks are not checkpointed).
+	// MaxPending is the deepest end-of-round backlog the stream's probe
+	// saw (since this process started — probes are not checkpointed).
 	MaxPending int `json:"max_pending"`
 	// Admission-control counters (since this process started).
 	Overloads   int64 `json:"overloads"`
 	BadSeqs     int64 `json:"bad_seqs"`
 	Checkpoints int64 `json:"checkpoints"`
-	// Cross-tenant scheduling fields (protocol v3, carried only by the
-	// extended stats command — a legacy msgStats row leaves them zero).
+	// Cross-tenant scheduling fields.
 	//
 	// Weight is the tenant's provisioned service weight; MinDelay the
 	// tightest bound in its delay menu. DelayFactor = QueueDepth/MinDelay
@@ -714,8 +594,7 @@ type TenantStats struct {
 	DelayFactor    float64 `json:"delay_factor,omitempty"`
 	MaxDelayFactor float64 `json:"max_delay_factor,omitempty"`
 	ServiceShare   float64 `json:"service_share,omitempty"`
-	// BDR admission fields (protocol v6, carried only by the extended
-	// stats command). ReservedRate/ReservedDelay are the tenant's
+	// BDR admission fields. ReservedRate/ReservedDelay are the tenant's
 	// admitted reservation (zero for a best-effort tenant).
 	// BudgetUtilization is served rounds over the service the
 	// reservation accrued across the passes the tenant was backlogged
@@ -743,6 +622,15 @@ func (s *TenantStats) encode(e *snap.Encoder) {
 	e.Int64(s.Overloads)
 	e.Int64(s.BadSeqs)
 	e.Int64(s.Checkpoints)
+	e.Int(s.Weight)
+	e.Int(s.MinDelay)
+	e.Int64(s.ServedRounds)
+	e.Float64(s.DelayFactor)
+	e.Float64(s.MaxDelayFactor)
+	e.Float64(s.ServiceShare)
+	e.Float64(s.ReservedRate)
+	e.Float64(s.ReservedDelay)
+	e.Float64(s.BudgetUtilization)
 }
 
 func (s *TenantStats) decode(d *snap.Decoder) {
@@ -762,26 +650,6 @@ func (s *TenantStats) decode(d *snap.Decoder) {
 	s.Overloads = d.Int64()
 	s.BadSeqs = d.Int64()
 	s.Checkpoints = d.Int64()
-}
-
-// encodeEx appends the protocol-v3 scheduling fields after the legacy
-// row. Only msgStatsEx responses carry them; the legacy msgStats row
-// stays byte-identical for older clients.
-func (s *TenantStats) encodeEx(e *snap.Encoder) {
-	s.encode(e)
-	e.Int(s.Weight)
-	e.Int(s.MinDelay)
-	e.Int64(s.ServedRounds)
-	e.Float64(s.DelayFactor)
-	e.Float64(s.MaxDelayFactor)
-	e.Float64(s.ServiceShare)
-	e.Float64(s.ReservedRate)
-	e.Float64(s.ReservedDelay)
-	e.Float64(s.BudgetUtilization)
-}
-
-func (s *TenantStats) decodeEx(d *snap.Decoder) {
-	s.decode(d)
 	s.Weight = d.Int()
 	s.MinDelay = d.Int()
 	s.ServedRounds = d.Int64()
@@ -793,54 +661,34 @@ func (s *TenantStats) decodeEx(d *snap.Decoder) {
 	s.BudgetUtilization = d.Float64()
 }
 
-func encodeStatsResp(e *snap.Encoder, rows []TenantStats) {
+// statsResp is the stats response: one row per tenant, sorted by ID.
+type statsResp []TenantStats
+
+func (r statsResp) encode(e *snap.Encoder) {
 	e.Uint64(msgStats)
-	e.Int(len(rows))
-	for i := range rows {
-		rows[i].encode(e)
+	e.Int(len(r))
+	for i := range r {
+		r[i].encode(e)
 	}
 }
 
-func decodeStatsResp(d *snap.Decoder) []TenantStats {
+// decode leaves r nil when the response is empty or malformed.
+func (r *statsResp) decode(d *snap.Decoder) {
+	*r = nil
 	n := d.Len()
 	if d.Err() != nil || n == 0 {
-		return nil
+		return
 	}
-	rows := make([]TenantStats, 0, min(n, 4096))
+	rows := make(statsResp, 0, min(n, 4096))
 	for i := 0; i < n; i++ {
 		var s TenantStats
 		s.decode(d)
 		if d.Err() != nil {
-			return nil
+			return
 		}
 		rows = append(rows, s)
 	}
-	return rows
-}
-
-func encodeStatsRespEx(e *snap.Encoder, rows []TenantStats) {
-	e.Uint64(msgStatsEx)
-	e.Int(len(rows))
-	for i := range rows {
-		rows[i].encodeEx(e)
-	}
-}
-
-func decodeStatsRespEx(d *snap.Decoder) []TenantStats {
-	n := d.Len()
-	if d.Err() != nil || n == 0 {
-		return nil
-	}
-	rows := make([]TenantStats, 0, min(n, 4096))
-	for i := 0; i < n; i++ {
-		var s TenantStats
-		s.decodeEx(d)
-		if d.Err() != nil {
-			return nil
-		}
-		rows = append(rows, s)
-	}
-	return rows
+	*r = rows
 }
 
 // encodeResult writes a sched.Result (minus the never-recorded
@@ -879,8 +727,7 @@ func decodeResult(d *snap.Decoder) *sched.Result {
 // errResp is the error response: a machine-readable code (see
 // errors.go), the expected sequence for errBadSeq, and a human-readable
 // message. A codeAdmission rejection additionally carries the shard's
-// residual capacity (protocol v6, trailing pair encoded only for that
-// code — only v6 clients can provoke it, so older peers never see it).
+// residual capacity; no other code has those two fields.
 type errResp struct {
 	Code     int
 	Expected int
@@ -908,7 +755,7 @@ func (m *errResp) decode(d *snap.Decoder) {
 	m.Expected = d.Int()
 	m.Msg = d.String()
 	m.ResidualRate, m.ResidualDelay = 0, 0
-	if m.Code == codeAdmission && d.Err() == nil && d.Remaining() > 0 {
+	if m.Code == codeAdmission {
 		m.ResidualRate = d.Float64()
 		m.ResidualDelay = d.Float64()
 	}

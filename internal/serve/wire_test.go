@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/sched"
@@ -169,25 +170,32 @@ func TestBatchRespRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsRespRoundTrip pins the stats response's edges (the full-row
+// round trip is TestStatsRespExRoundTrip): an empty response decodes to
+// no rows and consumes the body exactly, and a response cut inside a
+// row yields no rows and a decoder error instead of a partial table.
 func TestStatsRespRoundTrip(t *testing.T) {
-	rows := []TenantStats{
-		{ID: "a", Policy: "ΔLRU-EDF", Round: 9, NextSeq: 11, Pending: 3, QueueDepth: 2,
-			QueueCap: 64, Executed: 100, Dropped: 4, Reconfigs: 7, CostReconfig: 28,
-			CostDrop: 4, MaxPending: 12, Overloads: 1, BadSeqs: 2, Checkpoints: 3},
-		{ID: "b"},
-	}
 	e := snap.NewEncoder()
-	encodeStatsResp(e, rows)
+	statsResp(nil).encode(e)
 	d := snap.NewDecoder(e.Bytes())
 	if typ := d.Uint64(); typ != msgStats {
 		t.Fatalf("type = %d", typ)
 	}
-	got := decodeStatsResp(d)
+	got := statsResp{{ID: "stale"}}
+	if got.decode(d); got != nil {
+		t.Fatalf("empty response decoded to %+v", got)
+	}
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0] != rows[0] || got[1] != rows[1] {
-		t.Fatalf("round trip: %+v", got)
+
+	e.Reset()
+	statsResp{{ID: "a", Weight: 2, ServiceShare: 0.5}, {ID: "b", ReservedRate: 0.25}}.encode(e)
+	body := e.Bytes()
+	d = snap.NewDecoder(body[:len(body)-3])
+	d.Uint64()
+	if got.decode(d); got != nil || d.Err() == nil {
+		t.Fatalf("truncated response = (%+v, %v), want no rows and an error", got, d.Err())
 	}
 }
 
@@ -242,110 +250,72 @@ func TestSubmitCodecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestOpenMsgV6RoundTrip pins the protocol-v6 reservation extension: a
-// reserved open round-trips its (rate, delay) pair, and an unreserved
-// v6 open encodes byte-identically to the v5 shape (the optional pair
-// is simply absent), so pre-v6 peers keep decoding it unchanged.
+// TestOpenMsgV6RoundTrip pins the open request's weight and BDR
+// reservation fields (introduced by protocol v6, fixed since v7): a
+// reserved open round-trips its (rate, delay) pair, and an unreserved,
+// unweighted open decodes its zeros back in the same fixed shape.
 func TestOpenMsgV6RoundTrip(t *testing.T) {
-	in := openMsg{Version: ProtocolVersion, Tenant: "t1", Policy: "edf",
+	in := openMsg{Version: ProtocolVersion, Tenant: "t1", TenantConfig: TenantConfig{Policy: "edf",
 		N: 4, Speed: 1, Delta: 4, QueueCap: 32, Delays: []int{2, 6}, Weight: 2,
-		ResRate: 0.25, ResDelay: 16}
-	e := snap.NewEncoder()
-	in.encode(e)
-	d := snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgOpen {
-		t.Fatalf("type = %d", typ)
-	}
-	var out openMsg
-	out.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if out.ResRate != 0.25 || out.ResDelay != 16 || out.Weight != 2 {
-		t.Fatalf("round trip: %+v", out)
-	}
-
-	// Unreserved: byte-identical to the same message with the pair
-	// hand-encoded absent (the v5 shape).
-	in.ResRate, in.ResDelay = 0, 0
-	e.Reset()
-	in.encode(e)
-	v6 := append([]byte(nil), e.Bytes()...)
-	e.Reset()
-	e.Uint64(msgOpen)
-	e.Int(in.Version)
-	e.String(in.Tenant)
-	e.String(in.Policy)
-	e.Int(in.N)
-	e.Int(in.Speed)
-	e.Int(in.Delta)
-	e.Int(in.QueueCap)
-	e.Ints(in.Delays)
-	e.Int(in.Weight)
-	if !bytes.Equal(v6, e.Bytes()) {
-		t.Fatalf("unreserved v6 open differs from the v5 encoding:\n v6 %x\n v5 %x", v6, e.Bytes())
+		ResRate: 0.25, ResDelay: 16}}
+	for _, weight := range []int{2, 0} {
+		in.Weight = weight
+		if weight == 0 {
+			in.ResRate, in.ResDelay = 0, 0
+		}
+		e := snap.NewEncoder()
+		in.encode(e)
+		d := snap.NewDecoder(e.Bytes())
+		if typ := d.Uint64(); typ != msgOpen {
+			t.Fatalf("type = %d", typ)
+		}
+		out := openMsg{TenantConfig: TenantConfig{Weight: 9, ResRate: 1, ResDelay: 1}}
+		out.decode(d)
+		if err := d.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("round trip: %+v, want %+v", out, in)
+		}
 	}
 }
 
 // TestMigrationV6RoundTrip pins the reservation pair through the
-// migration codecs: releaseResp hands it out after the blob, restoreMsg
-// re-declares it, and the unreserved encodings stay v5-shaped.
+// migration codecs: the release response hands it out, restoreMsg
+// re-declares it, and an unreserved release decodes the zero pair.
 func TestMigrationV6RoundTrip(t *testing.T) {
-	rel := releaseResp{Policy: "edf", N: 4, Speed: 1, Delta: 4, QueueCap: 32,
-		Delays: []int{2, 6}, Weight: 1, NextSeq: 9, Blob: []byte{1, 2, 3},
-		ResRate: 0.5, ResDelay: 24}
-	e := snap.NewEncoder()
-	rel.encode(e)
-	d := snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgRelease {
-		t.Fatalf("type = %d", typ)
+	conf := TenantConfig{Policy: "edf", N: 4, Speed: 1, Delta: 4, QueueCap: 32,
+		Delays: []int{2, 6}, Weight: 1, ResRate: 0.5, ResDelay: 24}
+	roundTrip := func(typ uint64, in, out interface {
+		encode(*snap.Encoder)
+		decode(*snap.Decoder)
+	}) {
+		t.Helper()
+		e := snap.NewEncoder()
+		in.encode(e)
+		d := snap.NewDecoder(e.Bytes())
+		if got := d.Uint64(); got != typ {
+			t.Fatalf("type = %d, want %d", got, typ)
+		}
+		out.decode(d)
+		if err := d.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("round trip: %+v, want %+v", out, in)
+		}
 	}
-	var relOut releaseResp
-	relOut.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if relOut.ResRate != 0.5 || relOut.ResDelay != 24 || !bytes.Equal(relOut.Blob, rel.Blob) {
-		t.Fatalf("release round trip: %+v", relOut)
-	}
-
-	res := restoreMsg{Version: ProtocolVersion, Tenant: "t1", Policy: "edf",
-		N: 4, Speed: 1, Delta: 4, QueueCap: 32, Delays: []int{2, 6}, Weight: 1,
-		Blob: []byte{4, 5}, ResRate: 0.5, ResDelay: 24}
-	e.Reset()
-	res.encode(e)
-	d = snap.NewDecoder(e.Bytes())
-	if typ := d.Uint64(); typ != msgRestore {
-		t.Fatalf("type = %d", typ)
-	}
-	var resOut restoreMsg
-	resOut.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if resOut.ResRate != 0.5 || resOut.ResDelay != 24 || !bytes.Equal(resOut.Blob, res.Blob) {
-		t.Fatalf("restore round trip: %+v", resOut)
-	}
-
-	// Unreserved messages must end at the blob, exactly as in v5.
-	rel.ResRate, rel.ResDelay = 0, 0
-	e.Reset()
-	rel.encode(e)
-	d = snap.NewDecoder(e.Bytes())
-	d.Uint64()
-	relOut = releaseResp{}
-	relOut.decode(d)
-	if err := d.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if relOut.ResRate != 0 || relOut.ResDelay != 0 {
-		t.Fatalf("unreserved release round trip: %+v", relOut)
-	}
+	rel := &ReleasedTenant{Config: conf, NextSeq: 9, Blob: []byte{1, 2, 3}}
+	roundTrip(msgRelease, rel, &ReleasedTenant{})
+	roundTrip(msgRestore, &restoreMsg{Version: ProtocolVersion, Tenant: "t1", TenantConfig: conf,
+		Blob: []byte{4, 5}}, &restoreMsg{})
+	rel.Config.ResRate, rel.Config.ResDelay = 0, 0
+	roundTrip(msgRelease, rel, &ReleasedTenant{Config: TenantConfig{ResRate: 1, ResDelay: 1}})
 }
 
 // TestErrRespAdmissionRoundTrip: the residual-capacity pair rides only
-// on codeAdmission responses, so every other error code keeps its exact
-// pre-v6 encoding (old clients decode those with a strict Done()).
+// on codeAdmission responses; every other error code's shape has no
+// residual fields at all.
 func TestErrRespAdmissionRoundTrip(t *testing.T) {
 	in := errResp{Code: codeAdmission, Msg: "shard full", ResidualRate: 0.375, ResidualDelay: 2}
 	e := snap.NewEncoder()
@@ -377,13 +347,14 @@ func TestErrRespAdmissionRoundTrip(t *testing.T) {
 
 // TestDuraStatsBackendsRoundTrip pins the proxy fan-out rows: a
 // response with per-backend rows round-trips them labelled, and a
-// row-less response stays byte-identical to the v5 encoding.
+// row-less response (a server answering a direct dial) decodes to no
+// rows.
 func TestDuraStatsBackendsRoundTrip(t *testing.T) {
 	in := DuraStats{Mode: "mixed", Appends: 10, Bytes: 1000, Fsyncs: 3,
 		Deltas: 2, Rotations: 1, Compactions: 1, Segments: 2,
 		Backends: []BackendDuraStats{
 			{Addr: "127.0.0.1:1", DuraStats: DuraStats{Mode: "log", Appends: 6, Bytes: 600, Fsyncs: 2, Deltas: 2, Rotations: 1, Compactions: 1, Segments: 1}},
-			{Addr: "127.0.0.1:2", DuraStats: DuraStats{Mode: "files", Appends: 4, Bytes: 400, Fsyncs: 1, Segments: 1}},
+			{Addr: "127.0.0.1:2", DuraStats: DuraStats{Mode: "off"}},
 		}}
 	e := snap.NewEncoder()
 	in.encode(e)
@@ -399,27 +370,21 @@ func TestDuraStatsBackendsRoundTrip(t *testing.T) {
 	if out.Mode != "mixed" || out.Appends != 10 || len(out.Backends) != 2 {
 		t.Fatalf("round trip: %+v", out)
 	}
-	if out.Backends[0].Addr != "127.0.0.1:1" || out.Backends[0].Appends != 6 ||
-		out.Backends[1].Addr != "127.0.0.1:2" || out.Backends[1].Mode != "files" {
+	if !reflect.DeepEqual(out.Backends, in.Backends) {
 		t.Fatalf("backend rows: %+v", out.Backends)
 	}
 
-	// Row-less: byte-identical to the v5 shape (no trailing count).
 	in.Backends = nil
 	e.Reset()
 	in.encode(e)
-	v6 := append([]byte(nil), e.Bytes()...)
-	e.Reset()
-	e.Uint64(msgDuraStats)
-	e.String(in.Mode)
-	e.Int64(in.Appends)
-	e.Int64(in.Bytes)
-	e.Int64(in.Fsyncs)
-	e.Int64(in.Deltas)
-	e.Int64(in.Rotations)
-	e.Int64(in.Compactions)
-	e.Int64(in.Segments)
-	if !bytes.Equal(v6, e.Bytes()) {
-		t.Fatalf("row-less v6 DuraStats differs from the v5 encoding:\n v6 %x\n v5 %x", v6, e.Bytes())
+	d = snap.NewDecoder(e.Bytes())
+	d.Uint64()
+	out = DuraStats{Backends: []BackendDuraStats{{Addr: "stale"}}}
+	out.decode(d)
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if out.Backends != nil || out.Appends != in.Appends || out.Mode != in.Mode {
+		t.Fatalf("row-less round trip: %+v", out)
 	}
 }

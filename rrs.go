@@ -420,7 +420,7 @@ type (
 	// tenant's resume point.
 	BadSeqError = serve.BadSeqError
 	// Pipeline keeps a bounded window of tagged submits in flight on
-	// one ServeClient connection (protocol v2); see
+	// one ServeClient connection; see
 	// ServeClient.NewPipeline.
 	Pipeline = serve.Pipeline
 	// SubmitResult is one acknowledgement delivered to a Pipeline's
